@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import statevec
 from .gridmap import Cell, Costmap, GridMap, Perception, compute_costmap, perceive
 from .statevec import Circuit, GateOp, WidthTooLargeError, h, mcx, mcz, x, z
@@ -72,6 +74,8 @@ class GroverPlan:
         if not 0 <= index < self.n_anchors:
             raise ValueError(f"anchor index {index} outside [0, {self.n_anchors})")
         r, c = divmod(index, self.anchor_cols)
+        # anchor_offset_col indexes the robot inside the column pattern, so it
+        # is a row offset (and anchor_offset_row a column offset).
         return (r + self.anchor_offset_col, c + self.anchor_offset_row)
 
     def anchor_index(self, cell: Cell) -> int:
@@ -200,22 +204,18 @@ def classical_matches(costmap: Costmap, perception: Perception) -> set[Cell]:
         raise ValueError("perception pattern longer than the map side it slides over")
     o_row = perception.anchor_offset_row
     o_col = perception.anchor_offset_col
+    n_rows = costmap.rows - p_col + 1
+    n_cols = costmap.cols - p_row + 1
 
-    matches: set[Cell] = set()
+    # ok[a, b] stands for the anchor cell (a + o_col, b + o_row).
     code = costmap.code
-    for r in range(o_col, o_col + costmap.rows - p_col + 1):
-        for c in range(o_row, o_row + costmap.cols - p_row + 1):
-            row_ok = all(
-                code[r, c - o_row + j] == perception.row_pattern[j] for j in range(p_row)
-            )
-            if not row_ok:
-                continue
-            col_ok = all(
-                code[r - o_col + i, c] == perception.col_pattern[i] for i in range(p_col)
-            )
-            if col_ok:
-                matches.add((r, c))
-    return matches
+    ok = np.ones((n_rows, n_cols), dtype=bool)
+    for j, value in enumerate(perception.row_pattern):
+        ok &= code[o_col : o_col + n_rows, j : j + n_cols] == value
+    for i, value in enumerate(perception.col_pattern):
+        ok &= code[i : i + n_rows, o_row : o_row + n_cols] == value
+    rows, cols = np.nonzero(ok)
+    return {(int(a) + o_col, int(b) + o_row) for a, b in zip(rows, cols)}
 
 
 def oracle_spec(the_plan: GroverPlan, costmap: Costmap, perception: Perception) -> OracleSpec:
@@ -270,37 +270,59 @@ def _anchor_pairs(the_plan: GroverPlan, anchor: Cell) -> list[tuple[int, int]]:
     return pairs
 
 
+def _restore_ops(pairs: list[tuple[int, int]]) -> list[GateOp]:
+    """Undo an anchor's comparator bits, leaving the pattern register clean."""
+    ops: list[GateOp] = []
+    for mq, pq in pairs:
+        ops.append(x(pq))
+        ops.append(mcx([(mq, 1)], pq))
+    return ops
+
+
+def _anchor_ops(
+    the_plan: GroverPlan,
+    index: int,
+    prev: list[tuple[int, int]] | None,
+    pairs: list[tuple[int, int]],
+) -> list[GateOp]:
+    """Comparator writes for one anchor, then its wide kickback MCX.
+
+    The first anchor writes XNOR comparators onto the pattern register in
+    place (CX from the covered map bit, then a flip); later anchors only
+    move each CX from the previous anchor's map bit to their own.
+    """
+    ops: list[GateOp] = []
+    if prev is None:
+        for mq, pq in pairs:
+            ops.append(mcx([(mq, 1)], pq))
+            ops.append(x(pq))
+    else:
+        for (old_mq, pq), (new_mq, _) in zip(prev, pairs):
+            if old_mq != new_mq:
+                ops.append(mcx([(old_mq, 1)], pq))
+                ops.append(mcx([(new_mq, 1)], pq))
+    controls = _search_controls(the_plan, index) + [(pq, 1) for _, pq in pairs]
+    ops.append(mcx(controls, the_plan.layout.output[0]))
+    return ops
+
+
 def _faithful_oracle_ops(the_plan: GroverPlan) -> list[GateOp]:
     """Phase oracle over the full register stack.
 
-    For each anchor, XNOR comparators are written onto the pattern register
-    in place (CX from the covered map bit, then a flip), and one wide MCX
-    conditioned on the anchor's search value plus every comparator bit
-    kicks the phase off the output qubit. Comparator bits are rewritten
-    incrementally between consecutive anchors, and everything is restored
-    exactly at the end, so the map and pattern registers leave unchanged.
+    For each anchor, one wide MCX conditioned on the anchor's search value
+    plus every comparator bit kicks the phase off the output qubit.
+    Comparator bits are rewritten incrementally between consecutive
+    anchors, and everything is restored exactly at the end, so the map and
+    pattern registers leave unchanged.
     """
-    output = the_plan.layout.output[0]
     ops: list[GateOp] = []
     prev: list[tuple[int, int]] | None = None
     for index in range(the_plan.n_anchors):
         pairs = _anchor_pairs(the_plan, the_plan.anchor_cell(index))
-        if prev is None:
-            for mq, pq in pairs:
-                ops.append(mcx([(mq, 1)], pq))
-                ops.append(x(pq))
-        else:
-            for (old_mq, pq), (new_mq, _) in zip(prev, pairs):
-                if old_mq != new_mq:
-                    ops.append(mcx([(old_mq, 1)], pq))
-                    ops.append(mcx([(new_mq, 1)], pq))
-        controls = _search_controls(the_plan, index) + [(pq, 1) for _, pq in pairs]
-        ops.append(mcx(controls, output))
+        ops.extend(_anchor_ops(the_plan, index, prev, pairs))
         prev = pairs
     assert prev is not None
-    for mq, pq in prev:
-        ops.append(x(pq))
-        ops.append(mcx([(mq, 1)], pq))
+    ops.extend(_restore_ops(prev))
     return ops
 
 
@@ -385,19 +407,54 @@ def budget(the_plan: GroverPlan) -> Budget:
     whatever the execution mode, leaving out the value-dependent register
     loading, so maps of equal shape cost the same however many obstacles
     they hold.
+
+    The circuit is metered in closed form from five short segments. Each
+    anchor's wide MCX touches every search, pattern and output qubit, and
+    every op on a map qubit also touches a pattern qubit, so no qubit is
+    busy past the end of a wide MCX. A segment that ends in one therefore
+    adds the same elements and depth wherever it sits:
+
+    - head: preparation, then the first anchor's writes and MCX
+    - step: an in-row comparator rewrite and MCX
+    - wrap: a row-wrap rewrite and MCX
+    - boundary: restore and diffusion, then the first anchor again
+    - tail: restore and diffusion
+
+    and the whole run is head + R * (steps + wraps) + (R - 1) * boundary
+    + tail.
     """
     wide = the_plan if the_plan.mode == "faithful" else replace(
         the_plan,
         mode="faithful",
         total_qubits=the_plan.layout.ancilla[0] + the_plan.layout.ancilla[1],
     )
-    ops = _prep_ops(wide, None)
-    oracle = _faithful_oracle_ops(wide)
-    diffusion = synth_diffusion(wide).ops
-    for _ in range(wide.repetitions):
-        ops.extend(oracle)
-        ops.extend(diffusion)
-    return circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(ops)))
+    reps = wide.repetitions
+    prep = _prep_ops(wide, None)
+    if reps < 1:
+        return circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(prep)))
+
+    def pairs(index: int) -> list[tuple[int, int]]:
+        return _anchor_pairs(wide, wide.anchor_cell(index))
+
+    first = pairs(0)
+    opening = _anchor_ops(wide, 0, None, first)
+    closing = _restore_ops(pairs(wide.n_anchors - 1)) + list(synth_diffusion(wide).ops)
+    segments = [(1, prep + opening), (reps - 1, closing + opening), (1, closing)]
+    if wide.anchor_cols > 1:
+        steps = wide.n_anchors - wide.anchor_rows
+        segments.append((reps * steps, _anchor_ops(wide, 1, first, pairs(1))))
+    if wide.anchor_rows > 1:
+        k = wide.anchor_cols
+        segments.append(
+            (reps * (wide.anchor_rows - 1), _anchor_ops(wide, k, pairs(k - 1), pairs(k)))
+        )
+
+    elements = depth = 0
+    for count, ops in segments:
+        part = circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(ops)))
+        elements += count * part.elements
+        depth += count * part.depth
+    return Budget(elements=elements, depth=depth)
 
 
 def ideal_success_probability(the_plan: GroverPlan) -> float:

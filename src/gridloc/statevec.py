@@ -143,7 +143,12 @@ def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         raise WidthTooLargeError(
             f"{width} qubits need {1 << width} amplitudes, over the {max_qubits}-qubit budget"
         )
-    amps = np.zeros(1 << width, dtype=np.complex128)
+    try:
+        amps = np.zeros(1 << width, dtype=np.complex128)
+    except MemoryError as exc:
+        raise WidthTooLargeError(
+            f"{width} qubits need {1 << width} amplitudes, more than this host can allocate"
+        ) from exc
     amps[0] = 1.0
     return StateVector(width, amps)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from gridloc.cli import main
@@ -102,6 +103,22 @@ def test_grover_faithful_width_exit(tmp_path):
     )
     assert main(["grover", "--map", str(path), "--mode", "faithful"]) == 3
 
+
+
+def test_grover_allocation_failure_exits_3(bench_map, tmp_path, monkeypatch, capsys):
+    real_zeros = np.zeros
+
+    def refuse_state(shape, dtype=float, **kwargs):
+        # Only the state vector is complex; the costmap still allocates.
+        if dtype is np.complex128:
+            raise MemoryError("refused")
+        return real_zeros(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_state)
+    out = tmp_path / "g.json"
+    assert main(["grover", "--map", bench_map, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_missing_map_is_input_error(tmp_path):
     assert main(["grover", "--map", str(tmp_path / "nope.map")]) == 2

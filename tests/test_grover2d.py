@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloc import (
+    Budget,
     Costmap,
     GridMap,
     Perception,
@@ -16,12 +21,14 @@ from gridloc import (
     classical_matches,
     compute_costmap,
     oracle_spec,
+    parse_map,
+    perceive,
     plan,
     run_localization,
     synth_diffusion,
     synth_oracle,
 )
-from gridloc.grover2d import _prep_ops
+from gridloc.grover2d import _faithful_oracle_ops, _prep_ops
 from gridloc.statevec import Circuit, WidthTooLargeError, h, init_state, mcx, run
 
 PER1 = Perception(row_pattern=(1,), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0)
@@ -114,10 +121,13 @@ def test_plan_folded_width_is_search_register():
 
 def test_plan_rejects_oversized_pattern():
     g = GridMap(rows=2, cols=2)
-    per = Perception(row_pattern=(0, 0, 0), col_pattern=(0,),
-                     anchor_offset_row=0, anchor_offset_col=0)
-    with pytest.raises(ValueError):
-        plan(g, per)
+    for row_len, col_len in [(3, 1), (1, 3)]:
+        per = Perception(row_pattern=(0,) * row_len, col_pattern=(0,) * col_len,
+                         anchor_offset_row=0, anchor_offset_col=0)
+        with pytest.raises(ValueError):
+            plan(g, per)
+        with pytest.raises(ValueError, match="longer than the map side"):
+            classical_matches(indicator(g), per)
 
 
 def test_anchor_index_bijection():
@@ -382,6 +392,124 @@ def test_budget_within_factor_two_of_reference_case():
     assert 163 / 2 <= b.elements <= 163 * 2
     assert 89 / 2 <= b.depth <= 89 * 2
 
+
+def reference_budget(the_plan) -> Budget:
+    """Whole-circuit meter: circuit_budget over every op of the faithful run."""
+    wide = the_plan if the_plan.mode == "faithful" else replace(
+        the_plan,
+        mode="faithful",
+        total_qubits=the_plan.layout.ancilla[0] + the_plan.layout.ancilla[1],
+    )
+    ops = _prep_ops(wide, None)
+    oracle = _faithful_oracle_ops(wide)
+    diffusion = synth_diffusion(wide).ops
+    for _ in range(wide.repetitions):
+        ops.extend(oracle)
+        ops.extend(diffusion)
+    return circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(ops)))
+
+
+def window_perception(rows: int, cols: int, sensor_range: int, cell) -> Perception:
+    """Zero-valued patterns over the window perceive_at clips around a cell.
+
+    Range 0 gives the single-cell perception of the indicator costmap.
+    """
+    rr, rc = cell
+    c_lo, c_hi = max(0, rc - sensor_range), min(cols - 1, rc + sensor_range)
+    r_lo, r_hi = max(0, rr - sensor_range), min(rows - 1, rr + sensor_range)
+    return Perception(
+        row_pattern=(0,) * (c_hi - c_lo + 1),
+        col_pattern=(0,) * (r_hi - r_lo + 1),
+        anchor_offset_row=rc - c_lo,
+        anchor_offset_col=rr - r_lo,
+    )
+
+
+MAPS = Path(__file__).resolve().parent.parent / "maps"
+
+# Every (rows, cols, q, perception) the rest of the suite plans on.
+SUITE_GEOMETRIES = (
+    [(r, c, 1, PER1) for r, c in [(1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 3), (4, 5)]]
+    + [(1, n, 1, PER1) for n in (4, 6, 8, 12, 16, 25, 36, 64)]
+    + [
+        (4, 5, 1, Perception((1, 0), (0, 1), 0, 0)),
+        (4, 5, 2, Perception((2, 1), (1, 2), 0, 0)),
+        (3, 4, 2, Perception((1, 2), (3,), 0, 0)),
+        (4, 4, 1, Perception((3, 2, 3), (3, 2, 2), 1, 1)),
+        (1, 4, 1, Perception((2, 0, 1, 3), (2,), 0, 0)),
+        (2, 3, 1, Perception((0, 1), (1, 0), 1, 0)),
+    ]
+    + [
+        (g.rows, g.cols, g.qubits_per_cell, perceive(g))
+        for g in (parse_map((MAPS / name).read_text()) for name in ("demo_robot.map", "unique_4x5.map"))
+    ]
+)
+
+
+@pytest.mark.parametrize("mode", ["folded", "faithful"])
+@pytest.mark.parametrize("rows,cols,q,per", SUITE_GEOMETRIES)
+def test_budget_matches_reference_meter(rows, cols, q, per, mode):
+    p = plan(GridMap(rows=rows, cols=cols, qubits_per_cell=q), per, mode=mode)
+    for reps in (1, 2, p.repetitions):
+        pr = replace(p, repetitions=reps)
+        assert budget(pr) == reference_budget(pr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    q=st.integers(1, 3),
+    sensor_range=st.integers(0, 3),
+    reps=st.integers(1, 4),
+    mode=st.sampled_from(["folded", "faithful"]),
+    data=st.data(),
+)
+def test_budget_matches_reference_meter_sweep(rows, cols, q, sensor_range, reps, mode, data):
+    cell = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+    per = window_perception(rows, cols, sensor_range, cell)
+    p = plan(GridMap(rows=rows, cols=cols, qubits_per_cell=q), per, mode=mode)
+    p = replace(p, repetitions=reps)
+    assert budget(p) == reference_budget(p)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,per,shape",
+    [
+        (1, 1, PER1, (1, 1)),  # a single anchor: head, boundaries and tail only
+        (3, 3, Perception((0, 0, 0), (0, 0, 0), 1, 1), (1, 1)),
+        (5, 3, Perception((0, 0, 0), (0,), 1, 0), (5, 1)),  # wraps, no steps
+        (4, 6, Perception((0,), (0, 0, 0, 0), 0, 2), (1, 6)),  # steps, no wraps
+        (1, 2, PER1, (1, 2)),
+    ],
+)
+def test_budget_edge_geometries(rows, cols, per, shape):
+    p = plan(GridMap(rows=rows, cols=cols), per, mode="faithful")
+    assert (p.anchor_rows, p.anchor_cols) == shape
+    for reps in (0, 1, 2, 3):
+        pr = replace(p, repetitions=reps)
+        assert budget(pr) == reference_budget(pr)
+
+
+def test_budget_single_search_qubit_diffusion():
+    p = plan(GridMap(rows=1, cols=2), PER1, mode="faithful")
+    assert p.search_qubits == 1
+    kinds = [op.kind for op in synth_diffusion(p).ops]
+    assert "Z" in kinds and "MCZ" not in kinds
+    assert budget(p) == reference_budget(p)
+
+
+def test_budget_pinned_folded_64x64():
+    per = window_perception(64, 64, 3, (30, 30))
+    p = plan(GridMap(rows=64, cols=64, qubits_per_cell=2), per, mode="folded")
+    assert p.repetitions == 46
+    assert budget(p) == Budget(elements=20895192, depth=14362859)
+
+
+def test_budget_pinned_faithful_48x48_indicator():
+    p = plan(GridMap(rows=48, cols=48), PER1, mode="faithful")
+    assert p.repetitions == 38
+    assert budget(p) == Budget(elements=2716064, depth=2627399)
 
 # ---------------------------------------------------------------- execution
 

@@ -74,6 +74,17 @@ def test_init_state():
         init_state(0)
 
 
+
+def _refuse_allocation(*args, **kwargs):
+    raise MemoryError("refused")
+
+
+def test_init_state_maps_memory_error(monkeypatch):
+    monkeypatch.setattr(np, "zeros", _refuse_allocation)
+    with pytest.raises(WidthTooLargeError) as err:
+        init_state(3)
+    assert isinstance(err.value.__cause__, MemoryError)
+
 def test_h_on_zero():
     s = apply(init_state(1), h(0))
     assert np.allclose(s.amps, [RSQRT2, RSQRT2])
