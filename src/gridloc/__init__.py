@@ -3,7 +3,7 @@
 A robot on an occupancy grid senses the cost field along its row and
 column; matching that local pattern against the global costmap is
 phrased as an unstructured search and solved with amplitude
-amplification on a dense statevector simulator. A particle-filter
+amplification on a statevector simulator. A particle-filter
 baseline and circuit error estimates round out the toolkit.
 """
 

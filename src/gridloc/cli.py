@@ -28,6 +28,8 @@ BENCHMARK_OBSTACLES: dict[tuple[int, int], tuple[int, int]] = {
 }
 
 SCALE_DEFAULT_SIZES = "1x2,2x2,3x3,4x4,5x5,6x6"
+# Hard ceiling on --max-qubits.
+MAX_QUBITS_CEILING = 60
 SCALE_DEFAULT_DEVICE = "ibm-kyiv-2024"
 
 
@@ -324,6 +326,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.max_qubits <= MAX_QUBITS_CEILING:
+            raise ValueError(
+                f"--max-qubits must be between 1 and {MAX_QUBITS_CEILING}, "
+                f"got {args.max_qubits}"
+            )
         return args.func(args)
     except statevec.WidthTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,21 @@
-"""Dense state-vector simulator for a small controlled-gate set.
+"""State-vector simulator for a small controlled-gate set.
 
 Amplitudes are indexed with qubit 0 as the least significant bit of the
 basis index. The gate set is H, X, Z plus multi-controlled X and Z whose
 controls carry explicit polarities, which is all the search circuits need.
 Noise is optional: a per-operation depolarizing channel and independent
 readout flips, both driven by one seeded generator so runs replay exactly.
+
+A state stores amplitudes only for the qubits that have left a basis
+state; every other qubit is one bit of a classical frame. Gates whose
+qubits all sit in the frame are bit operations, so a circuit that keeps
+most of its register classical evolves only the few superposed qubits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,18 +92,6 @@ class Circuit:
                 if not 0 <= q < self.width:
                     raise ValueError(f"gate touches qubit {q}, circuit width {self.width}")
 
-    @property
-    def depth(self) -> int:
-        """Layer count: each op lands right after the ops it must follow."""
-        busy = [0] * self.width
-        depth = 0
-        for op in self.ops:
-            layer = 1 + max(busy[q] for q in op.qubits())
-            for q in op.qubits():
-                busy[q] = layer
-            depth = max(depth, layer)
-        return depth
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -113,44 +106,14 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-class StateVector:
-    """2**width complex amplitudes, qubit 0 = least significant bit."""
-
-    __slots__ = ("width", "amps", "noise_events")
-
-    def __init__(self, width: int, amps: np.ndarray, noise_events: int = 0):
-        if amps.shape != (1 << width,):
-            raise ValueError(f"expected {1 << width} amplitudes, got {amps.shape}")
-        self.width = width
-        self.amps = amps
-        self.noise_events = noise_events
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.width, self.amps.copy(), self.noise_events)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
-def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """|0...0> over ``width`` qubits, guarded against oversized allocations."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if width > max_qubits:
-        raise WidthTooLargeError(
-            f"{width} qubits need {1 << width} amplitudes, over the {max_qubits}-qubit budget"
-        )
+def _zeros(size: int) -> np.ndarray:
+    """A zeroed complex amplitude array; a refused allocation is a width error."""
     try:
-        amps = np.zeros(1 << width, dtype=np.complex128)
+        return np.zeros(size, dtype=np.complex128)
     except MemoryError as exc:
         raise WidthTooLargeError(
-            f"{width} qubits need {1 << width} amplitudes, more than this host can allocate"
+            f"{size} amplitudes need {16 * size} bytes, more than this host can allocate"
         ) from exc
-    amps[0] = 1.0
-    return StateVector(width, amps)
 
 
 def _views(amps: np.ndarray, width: int, target: int, controls):
@@ -169,12 +132,8 @@ def _views(amps: np.ndarray, width: int, target: int, controls):
     return tensor[(*idx0, Ellipsis)], tensor[(*idx1, Ellipsis)]
 
 
-def _apply_inplace(amps: np.ndarray, width: int, op: GateOp) -> None:
-    for q in op.qubits():
-        if not 0 <= q < width:
-            raise ValueError(f"gate qubit {q} out of range for width {width}")
-    lo, hi = _views(amps, width, op.target, op.controls)
-    kind = op.kind
+def _kernel(amps: np.ndarray, width: int, kind: str, target: int, controls) -> None:
+    lo, hi = _views(amps, width, target, controls)
     if kind == "H":
         s = lo + hi
         d = lo - hi
@@ -203,10 +162,146 @@ def _apply_pauli(amps: np.ndarray, width: int, pauli: int, qubit: int) -> None:
         hi *= -1.0
 
 
+class StateVector:
+    """Amplitudes over ``width`` qubits, qubit 0 = least significant bit.
+
+    Qubits that have left a basis state are *active*: ``_active`` holds
+    their 2**k amplitudes, active position j being bit j of its index, and
+    ``_order[j]`` names the qubit there (``_pos`` is the inverse, -1 for
+    the rest). Every other qubit is in a basis state, and its bit is kept
+    in the integer ``_frame``. A qubit becomes active when a gate first
+    puts it in superposition or entangles it, and stays active.
+
+    ``amps`` is the dense view over all qubits in qubit order. Reading it
+    makes every qubit active in qubit order, in place, so writes through
+    it reach the state.
+    """
+
+    __slots__ = ("width", "noise_events", "_active", "_order", "_pos", "_frame", "_dense")
+
+    def __init__(self, width: int, amps: np.ndarray, noise_events: int = 0):
+        if amps.shape != (1 << width,):
+            raise ValueError(f"expected {1 << width} amplitudes, got {amps.shape}")
+        self._set(width, amps, list(range(width)), 0, noise_events)
+
+    def _set(self, width, active, order, frame, noise_events) -> None:
+        self.width = width
+        self.noise_events = noise_events
+        self._active = active
+        self._order = order
+        self._pos = [-1] * width
+        for j, q in enumerate(order):
+            self._pos[q] = j
+        self._frame = frame
+        self._dense = order == list(range(width))
+
+    @property
+    def amps(self) -> np.ndarray:
+        if not self._dense:
+            self._densify()
+        return self._active
+
+    def copy(self) -> "StateVector":
+        out = StateVector.__new__(StateVector)
+        out._set(self.width, self._active.copy(), list(self._order), self._frame, self.noise_events)
+        return out
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self._active))
+
+    def _densify(self) -> None:
+        """Spread the active tensor over all qubits, axes in qubit order."""
+        width, k = self.width, len(self._order)
+        dense = _zeros(1 << width).reshape((2,) * width)
+        perm = [k - 1 - self._pos[q] for q in sorted(self._order, reverse=True)]
+        tensor = self._active.reshape((2,) * k).transpose(perm)
+        dense[self._pinned(range(width - 1, -1, -1))] = tensor
+        self._set(width, dense.reshape(-1), list(range(width)), 0, self.noise_events)
+
+    def _pinned(self, qubits) -> tuple:
+        """Index over ``qubits``: a frame qubit pins its bit, an active one keeps its axis."""
+        return tuple(slice(None) if self._pos[q] >= 0 else (self._frame >> q) & 1 for q in qubits)
+
+    def _promote(self, qubit: int) -> int:
+        """Make a frame qubit active as the most significant axis."""
+        n = self._active.size
+        amps = _zeros(2 * n)
+        bit = (self._frame >> qubit) & 1
+        amps[bit * n : (bit + 1) * n] = self._active
+        self._active = amps
+        self._frame &= ~(1 << qubit)
+        self._pos[qubit] = len(self._order)
+        self._order.append(qubit)
+        self._dense = self._order == list(range(self.width))
+        return self._pos[qubit]
+
+    def _apply(self, op: GateOp) -> None:
+        if self._dense:
+            _kernel(self._active, self.width, op.kind, op.target, op.controls)
+            return
+        pos, frame = self._pos, self._frame
+        controls = []
+        for q, pol in op.controls:
+            if pos[q] >= 0:
+                controls.append((pos[q], pol))
+            elif (frame >> q) & 1 != pol:
+                return  # an unmatched classical control: the gate is the identity
+        kind, target = op.kind, op.target
+        t = pos[target]
+        if t < 0:
+            if kind in ("Z", "MCZ"):
+                # Z on a frame |1> is a sign where the active controls match.
+                if (frame >> target) & 1:
+                    if controls:
+                        (p, pol), rest = controls[0], controls[1:]
+                        lo, hi = _views(self._active, len(self._order), p, rest)
+                        (hi if pol else lo)[...] *= -1.0
+                    else:
+                        self._active *= -1.0
+                return
+            if kind in ("X", "MCX") and not controls:
+                self._frame ^= 1 << target
+                return
+            t = self._promote(target)
+        _kernel(self._active, len(self._order), kind, t, controls)
+
+    def _pauli(self, pauli: int, qubit: int) -> None:
+        # pauli: 0 = X, 1 = Y, 2 = Z. Y|0> = i|1> and Y|1> = -i|0>.
+        p = self._pos[qubit]
+        if p >= 0:
+            _apply_pauli(self._active, len(self._order), pauli, p)
+            return
+        bit = (self._frame >> qubit) & 1
+        if pauli != 2:
+            self._frame ^= 1 << qubit
+        if pauli == 1:
+            self._active *= -1j if bit else 1j
+        elif pauli == 2 and bit:
+            self._active *= -1.0
+
+
+def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+    """|0...0> over ``width`` qubits, guarded against oversized allocations."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if width > max_qubits:
+        raise WidthTooLargeError(
+            f"{width} qubits need {1 << width} amplitudes, over the {max_qubits}-qubit budget"
+        )
+    active = _zeros(1)
+    active[0] = 1.0
+    state = StateVector.__new__(StateVector)
+    state._set(width, active, [], 0, 0)
+    return state
+
+
 def apply(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate, returning a new state. The input is untouched."""
+    for q in op.qubits():
+        if not 0 <= q < state.width:
+            raise ValueError(f"gate qubit {q} out of range for width {state.width}")
     out = state.copy()
-    _apply_inplace(out.amps, out.width, op)
+    out._apply(op)
     return out
 
 
@@ -231,12 +326,12 @@ def run(
     noisy = noise is not None and noise.p_gate > 0.0
     rng = np.random.default_rng(seed) if noisy else None
     for op in circuit.ops:
-        _apply_inplace(out.amps, out.width, op)
+        out._apply(op)
         if noisy and rng.random() < noise.p_gate:
             touched = op.qubits()
             qubit = touched[int(rng.integers(len(touched)))]
             pauli = int(rng.integers(3))
-            _apply_pauli(out.amps, out.width, pauli, qubit)
+            out._pauli(pauli, qubit)
             out.noise_events += 1
     return out
 
@@ -264,6 +359,25 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
+def _marginal(state: StateVector, measured: list[int]) -> np.ndarray:
+    """Outcome probabilities over ``measured`` (descending), MSB first.
+
+    Summed over the active tensor only; measured frame qubits contribute
+    their fixed bit, so outcomes that disagree with it get probability 0.
+    """
+    k, pos = len(state._order), state._pos
+    tensor = (np.abs(state._active) ** 2).reshape((2,) * k)
+    keep_axes = [k - 1 - pos[q] for q in measured if pos[q] >= 0]
+    drop_axes = tuple(a for a in range(k) if a not in keep_axes)
+    marginal = tensor.sum(axis=drop_axes) if drop_axes else tensor
+    # Summing leaves the kept axes in ascending order; put them in measured order.
+    kept = sorted(keep_axes)
+    marginal = marginal.transpose([kept.index(a) for a in keep_axes])
+    out = np.zeros((2,) * len(measured))
+    out[state._pinned(measured)] = marginal
+    return out.reshape(-1)
+
+
 def sample(
     state: StateVector,
     measured_qubits,
@@ -286,11 +400,7 @@ def sample(
         raise ValueError("shots must be >= 1")
 
     k = len(measured)
-    tensor = state.probabilities().reshape((2,) * state.width)
-    keep_axes = tuple(state.width - 1 - q for q in measured)  # ascending, MSB first
-    drop_axes = tuple(a for a in range(state.width) if a not in keep_axes)
-    marginal = tensor.sum(axis=drop_axes) if drop_axes else tensor
-    probs = marginal.reshape(-1).astype(float)
+    probs = _marginal(state, measured)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
 

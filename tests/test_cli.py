@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gridloc.cli import main
 
 BENCH_3X3 = "rows=3 cols=3 q=1 range=1\n.#.\n...\n...\n"
+MAPS = Path(__file__).resolve().parent.parent / "maps"
 ROBOT_MAP = "rows=4 cols=5 q=1 range=1\n..#..\n..R..\n.....\n.....\n"
 
 
@@ -119,6 +121,39 @@ def test_grover_allocation_failure_exits_3(bench_map, tmp_path, monkeypatch, cap
     assert main(["grover", "--map", bench_map, "--out", str(out)]) == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+def test_grover_promotion_allocation_failure_exits_3(bench_map, tmp_path, monkeypatch, capsys):
+    real_zeros = np.zeros
+
+    def refuse_large_state(shape, dtype=float, **kwargs):
+        # |0...0> holds one amplitude; the first promotions past 4 fail.
+        if dtype is np.complex128 and np.prod(shape) > 4:
+            raise MemoryError("refused")
+        return real_zeros(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_large_state)
+    out = tmp_path / "g.json"
+    assert main(["grover", "--map", bench_map, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "61", "1000"])
+def test_max_qubits_outside_ceiling_is_input_error(bench_map, value, capsys):
+    assert main(["grover", "--map", bench_map, "--max-qubits", value]) == 2
+    assert "--max-qubits must be between 1 and 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bench_5x5.map", "bench_6x6.map"])
+def test_grover_faithful_large_layouts(name, tmp_path):
+    # 34 and 46 qubits: only the search and output qubits leave the frame.
+    out = tmp_path / "rep.json"
+    path = MAPS / name
+    assert main(["grover", "--map", str(path), "--mode", "faithful", "--max-qubits", "46",
+                 "--shots", "512", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["decoded"] == [3, 2]
+
 
 def test_missing_map_is_input_error(tmp_path):
     assert main(["grover", "--map", str(tmp_path / "nope.map")]) == 2

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloc.statevec import (
+    GATE_KINDS,
     Circuit,
     GateOp,
     Histogram,
@@ -45,6 +48,110 @@ def random_op(rng: np.random.Generator, width: int) -> GateOp:
     n_ctl = int(rng.integers(1, width))
     controls = tuple((int(q), int(rng.integers(2))) for q in qubits[1 : 1 + n_ctl])
     return GateOp(kind=kind, target=target, controls=controls)
+
+
+# Dense reference simulator: every gate updates all 2**width amplitudes
+# in place. The classical-frame state must match it bit for bit.
+
+
+def reference_views(amps: np.ndarray, width: int, target: int, controls):
+    tensor = amps.reshape((2,) * width)
+    idx: list = [slice(None)] * width
+    for q, pol in controls:
+        idx[width - 1 - q] = pol
+    axis = width - 1 - target
+    idx0 = list(idx)
+    idx0[axis] = 0
+    idx1 = list(idx)
+    idx1[axis] = 1
+    return tensor[(*idx0, Ellipsis)], tensor[(*idx1, Ellipsis)]
+
+
+def reference_apply_inplace(amps: np.ndarray, width: int, op: GateOp) -> None:
+    lo, hi = reference_views(amps, width, op.target, op.controls)
+    if op.kind == "H":
+        s = lo + hi
+        d = lo - hi
+        lo[...] = s * RSQRT2
+        hi[...] = d * RSQRT2
+    elif op.kind in ("X", "MCX"):
+        tmp = lo.copy()
+        lo[...] = hi
+        hi[...] = tmp
+    else:
+        hi *= -1.0
+
+
+def reference_apply_pauli(amps: np.ndarray, width: int, pauli: int, qubit: int) -> None:
+    lo, hi = reference_views(amps, width, qubit, ())
+    if pauli == 0:
+        tmp = lo.copy()
+        lo[...] = hi
+        hi[...] = tmp
+    elif pauli == 1:
+        tmp = lo.copy()
+        lo[...] = -1j * hi
+        hi[...] = 1j * tmp
+    else:
+        hi *= -1.0
+
+
+def reference_run(circuit: Circuit, noise: NoiseModel | None, seed: int):
+    """(amplitudes, noise events) of the circuit run from |0...0>."""
+    width = circuit.width
+    amps = np.zeros(1 << width, dtype=np.complex128)
+    amps[0] = 1.0
+    events = 0
+    noisy = noise is not None and noise.p_gate > 0.0
+    rng = np.random.default_rng(seed) if noisy else None
+    for op in circuit.ops:
+        reference_apply_inplace(amps, width, op)
+        if noisy and rng.random() < noise.p_gate:
+            touched = op.qubits()
+            qubit = touched[int(rng.integers(len(touched)))]
+            pauli = int(rng.integers(3))
+            reference_apply_pauli(amps, width, pauli, qubit)
+            events += 1
+    return amps, events
+
+
+def reference_sample(amps, width, measured_qubits, shots, noise, seed) -> dict[str, int]:
+    measured = sorted(set(measured_qubits), reverse=True)
+    k = len(measured)
+    tensor = (np.abs(amps) ** 2).reshape((2,) * width)
+    keep_axes = tuple(width - 1 - q for q in measured)
+    drop_axes = tuple(a for a in range(width) if a not in keep_axes)
+    marginal = tensor.sum(axis=drop_axes) if drop_axes else tensor
+    probs = np.clip(marginal.reshape(-1).astype(float), 0.0, None)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(1 << k, size=shots, p=probs)
+    if noise is not None and noise.p_meas > 0.0:
+        bit_pos = np.arange(k - 1, -1, -1)
+        bits = (outcomes[:, None] >> bit_pos) & 1
+        bits ^= rng.random((shots, k)) < noise.p_meas
+        outcomes = (bits << bit_pos).sum(axis=1)
+    values, freq = np.unique(outcomes, return_counts=True)
+    return {format(int(v), f"0{k}b"): int(n) for v, n in zip(values, freq)}
+
+
+@st.composite
+def gate_ops(draw, width: int) -> GateOp:
+    kind = draw(st.sampled_from(GATE_KINDS if width > 1 else ("H", "X", "Z")))
+    target = draw(st.integers(0, width - 1))
+    if kind in ("H", "X", "Z"):
+        return GateOp(kind=kind, target=target)
+    others = [q for q in range(width) if q != target]
+    chosen = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others), unique=True))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in chosen)
+    return GateOp(kind=kind, target=target, controls=controls)
+
+
+@st.composite
+def circuits(draw) -> Circuit:
+    width = draw(st.integers(1, 9))
+    return Circuit(width=width, ops=tuple(draw(st.lists(gate_ops(width), max_size=40))))
+
 
 
 # ---------------------------------------------------------------- gate ops
@@ -168,32 +275,6 @@ def test_apply_out_of_range():
 # ---------------------------------------------------------------- circuits
 
 
-def reference_depth(circuit: Circuit) -> int:
-    # Longest chain in the qubit-conflict DAG, tracked as per-qubit frontiers.
-    frontier = [0] * circuit.width
-    deepest = 0
-    for op in circuit.ops:
-        layer = 1 + max(frontier[q] for q in op.qubits())
-        for q in op.qubits():
-            frontier[q] = layer
-        deepest = max(deepest, layer)
-    return deepest
-
-
-def test_depth_simple_chain():
-    c = Circuit(width=2, ops=(h(0), h(0), h(1)))
-    assert c.depth == 2
-
-
-def test_depth_matches_reference_on_random_circuits():
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        width = int(rng.integers(2, 6))
-        ops = tuple(random_op(rng, width) for _ in range(int(rng.integers(1, 30))))
-        c = Circuit(width=width, ops=ops)
-        assert c.depth == reference_depth(c)
-
-
 def test_run_empty_circuit():
     s = init_state(2)
     out = run(s, Circuit(width=2, ops=()))
@@ -307,3 +388,48 @@ def test_histogram_modal_and_csv():
     assert lines[1] == "01,5"
     assert lines[2] == "10,5"
     assert lines[3] == "00,1"
+
+
+# ---------------------------------------------------------------- dense reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    circuit=circuits(),
+    p_gate=st.sampled_from((0.0, 0.25, 1.0)),
+    p_meas=st.sampled_from((0.0, 0.2)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_run_and_sample_match_dense_reference(circuit, p_gate, p_meas, seed, data):
+    width = circuit.width
+    noise = NoiseModel(p_gate=p_gate, p_meas=p_meas)
+    measured = data.draw(
+        st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True)
+    )
+    ref_amps, ref_events = reference_run(circuit, noise, seed)
+    state = run(init_state(width), circuit, noise=noise, seed=seed)
+    assert state.noise_events == ref_events
+    # Sample before reading amps: amps promotes every frame qubit.
+    for readout in (None, noise):
+        hist = sample(state, measured, shots=64, noise=readout, seed=seed + 1)
+        assert hist.counts == reference_sample(ref_amps, width, measured, 64, readout, seed + 1)
+    assert np.array_equal(state.amps, ref_amps)
+    assert abs(state.norm() - 1.0) < 1e-9
+
+
+def test_frame_ops_keep_state_small():
+    # X and classically controlled gates on basis qubits touch no amplitudes.
+    ops = (
+        x(5),
+        mcx(((5, 1),), 7),
+        mcx(((7, 1), (5, 0)), 6),
+        mcz(((7, 1),), 5),
+        h(0),
+        mcx(((0, 1), (7, 1)), 3),
+    )
+    state = run(init_state(8), Circuit(width=8, ops=ops))
+    assert state._order == [0, 3]
+    assert state._frame == (1 << 5) | (1 << 7)
+    ref_amps, _ = reference_run(Circuit(width=8, ops=ops), None, 0)
+    assert np.array_equal(state.amps, ref_amps)
