@@ -19,7 +19,6 @@ from .classical import (
     substring_search,
 )
 from .errmodel import (
-    DevicePreset,
     ErrorEstimate,
     estimate,
     load_presets,
@@ -27,6 +26,7 @@ from .errmodel import (
     p_meas_failure,
 )
 from .gridmap import (
+    SINGLE_CELL,
     Cell,
     Costmap,
     DuplicateRobotError,
@@ -37,6 +37,7 @@ from .gridmap import (
     compute_costmap,
     costmap_csv,
     encode_strings,
+    indicator_costmap,
     parse_map,
     perceive,
     perceive_at,
@@ -75,11 +76,11 @@ from .statevec import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "SINGLE_CELL",
     "Budget",
     "Cell",
     "Circuit",
     "Costmap",
-    "DevicePreset",
     "DuplicateRobotError",
     "ErrorEstimate",
     "GateOp",
@@ -108,6 +109,7 @@ __all__ = [
     "encode_strings",
     "estimate",
     "ideal_success_probability",
+    "indicator_costmap",
     "init_state",
     "load_presets",
     "mcl_localize",

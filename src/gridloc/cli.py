@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import classical, errmodel, grover2d, gridmap, statevec
 
 # Benchmark obstacle layouts for the size sweep, keyed by (rows, cols).
@@ -50,7 +48,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_noise(spec: str | None) -> errmodel.DevicePreset | None:
+def _parse_noise(spec: str | None) -> statevec.NoiseModel | None:
     """--noise accepts a preset name or explicit ``p_gate,p_meas`` rates."""
     if spec is None:
         return None
@@ -60,36 +58,16 @@ def _parse_noise(spec: str | None) -> errmodel.DevicePreset | None:
     parts = spec.split(",")
     if len(parts) == 2:
         try:
-            return errmodel.DevicePreset(name="custom", p_gate=float(parts[0]), p_meas=float(parts[1]))
+            return statevec.NoiseModel(p_gate=float(parts[0]), p_meas=float(parts[1]))
         except ValueError as exc:
             raise ValueError(f"bad noise rates {spec!r}: {exc}") from None
     known = ", ".join(sorted(presets))
     raise ValueError(f"unknown noise preset {spec!r} (known: {known})")
 
 
-def _noise_model(device: errmodel.DevicePreset | None) -> statevec.NoiseModel | None:
-    if device is None:
-        return None
-    return statevec.NoiseModel(p_gate=device.p_gate, p_meas=device.p_meas)
-
-
-def _indicator_costmap(grid: gridmap.GridMap) -> gridmap.Costmap:
-    """Obstacle indicator grid, used when a map carries no robot."""
-    code = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-    for cell in grid.obstacles:
-        code[cell] = 1
-    return gridmap.Costmap(raw=code.astype(float), code=code)
-
-
 def _benchmark_map(rows: int, cols: int) -> gridmap.GridMap:
     obstacle = BENCHMARK_OBSTACLES.get((rows, cols), (rows // 2, cols // 2))
     return gridmap.GridMap(rows=rows, cols=cols, obstacles=frozenset({obstacle}))
-
-
-def _single_cell_perception() -> gridmap.Perception:
-    return gridmap.Perception(
-        row_pattern=(1,), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0
-    )
 
 
 def cmd_costmap(args) -> int:
@@ -116,39 +94,24 @@ def cmd_perceive(args) -> int:
     return 0
 
 
-def _grover_report(grid, args, device):
-    """Run localization for a map; robot-less maps search for the obstacle."""
-    noise = _noise_model(device)
-    if grid.robot is not None:
-        return grover2d.run_localization(
-            grid,
-            mode=args.mode,
-            shots=args.shots,
-            noise=noise,
-            seed=args.seed,
-            max_qubits=args.max_qubits,
-        )
-    if not grid.obstacles:
+def cmd_grover(args) -> int:
+    grid = _read_map(args.map)
+    noise = _parse_noise(args.noise)
+    if grid.robot is None and not grid.obstacles:
         raise ValueError("map has neither robot nor obstacles, nothing to search for")
-    return grover2d.run_localization(
+    report = grover2d.run_localization(
         grid,
-        perception=_single_cell_perception(),
-        costmap=_indicator_costmap(grid),
         mode=args.mode,
         shots=args.shots,
         noise=noise,
         seed=args.seed,
         max_qubits=args.max_qubits,
     )
-
-
-def cmd_grover(args) -> int:
-    grid = _read_map(args.map)
-    device = _parse_noise(args.noise)
-    report = _grover_report(grid, args, device)
-    rates = device or errmodel.DevicePreset(name="none", p_gate=0.0, p_meas=0.0)
     est = errmodel.estimate(
-        report.budget, rates, measured_qubits=report.plan.search_qubits, per=args.per
+        report.budget,
+        noise or statevec.NoiseModel(),
+        measured_qubits=report.plan.search_qubits,
+        per=args.per,
     )
     payload = report.to_json_dict()
     payload["error_estimate"] = est.as_dict()
@@ -187,30 +150,25 @@ def cmd_scale(args) -> int:
             raise ValueError(f"bad size {token!r}, expected RxC")
         sizes.append((int(parts[0]), int(parts[1])))
 
-    device = _parse_noise(args.noise)
-    noise = _noise_model(device)
-    rates = device or errmodel.load_presets()[SCALE_DEFAULT_DEVICE]
+    noise = _parse_noise(args.noise)
+    rates = noise or errmodel.load_presets()[SCALE_DEFAULT_DEVICE]
 
     lines = [
         "size,rows,cols,qubits,repetitions,elements,depth,gate_error,simulated_position,known_position"
     ]
     for index, (rows, cols) in enumerate(sizes):
         grid = _benchmark_map(rows, cols)
-        perception = _single_cell_perception()
-        costmap = _indicator_costmap(grid)
-        wide = grover2d.plan(grid, perception, mode="faithful")
-        cost = grover2d.budget(wide)
-        est = errmodel.estimate(cost, rates, measured_qubits=wide.search_qubits, per=args.per)
         report = grover2d.run_localization(
             grid,
-            perception=perception,
-            costmap=costmap,
             mode="folded",
             shots=args.shots,
             noise=noise,
             seed=args.seed + index,
             max_qubits=args.max_qubits,
         )
+        wide = grover2d.plan(grid, gridmap.SINGLE_CELL, mode="faithful")
+        cost = grover2d.budget(wide)
+        est = errmodel.estimate(cost, rates, measured_qubits=wide.search_qubits, per=args.per)
         obstacle = next(iter(grid.obstacles))
         known = report.plan.anchor_index(obstacle)
         simulated = (
@@ -228,12 +186,11 @@ def cmd_compare(args) -> int:
     grid = _read_map(args.map)
     if grid.robot is None:
         raise ValueError("compare needs a map with a robot")
-    device = _parse_noise(args.noise)
     report = grover2d.run_localization(
         grid,
         mode=args.mode,
         shots=args.shots,
-        noise=_noise_model(device),
+        noise=_parse_noise(args.noise),
         seed=args.seed,
         max_qubits=args.max_qubits,
     )

@@ -13,20 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .grover2d import Budget
-
-
-@dataclass(frozen=True)
-class DevicePreset:
-    """Named error-rate pair for one hardware target."""
-
-    name: str
-    p_gate: float
-    p_meas: float
-
-    def __post_init__(self):
-        for label, p in (("p_gate", self.p_gate), ("p_meas", self.p_meas)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1], got {p}")
+from .statevec import NoiseModel
 
 
 @dataclass(frozen=True)
@@ -76,11 +63,11 @@ def p_meas_failure(p_meas: float, measured_qubits: int) -> float:
 
 def estimate(
     budget: Budget,
-    device: DevicePreset,
+    noise: NoiseModel,
     measured_qubits: int,
     per: str = "depth",
 ) -> ErrorEstimate:
-    """Failure estimate for a metered circuit on a device.
+    """Failure estimate for a metered circuit under the given error rates.
 
     ``per`` picks the exponent for the element term: "depth" uses the
     layered depth (elements off the critical path overlap), "ops" uses the
@@ -90,26 +77,25 @@ def estimate(
         raise ValueError(f"per must be 'depth' or 'ops', got {per!r}")
     exponent = budget.depth if per == "depth" else budget.elements
     return ErrorEstimate(
-        p_gate=device.p_gate,
-        p_meas=device.p_meas,
+        p_gate=noise.p_gate,
+        p_meas=noise.p_meas,
         exponent=exponent,
         measured_qubits=measured_qubits,
-        p_gate_failure=p_gate_failure(device.p_gate, exponent),
-        p_meas_failure=p_meas_failure(device.p_meas, measured_qubits),
+        p_gate_failure=p_gate_failure(noise.p_gate, exponent),
+        p_meas_failure=p_meas_failure(noise.p_meas, measured_qubits),
         per=per,
     )
 
 
-def load_presets() -> dict[str, DevicePreset]:
-    """Device presets shipped with the package."""
+def load_presets() -> dict[str, NoiseModel]:
+    """Error rates of the device presets shipped with the package."""
     text = resources.files(__package__).joinpath("devices.cfg").read_text()
     parser = configparser.ConfigParser()
     parser.read_string(text)
     presets = {}
     for name in parser.sections():
         section = parser[name]
-        presets[name] = DevicePreset(
-            name=name,
+        presets[name] = NoiseModel(
             p_gate=float(section["p_gate"]),
             p_meas=float(section["p_meas"]),
         )

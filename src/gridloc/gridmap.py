@@ -135,6 +135,13 @@ class Perception:
             raise ValueError("anchor_offset_col outside col_pattern")
 
 
+# Benchmark reading of a robot-less map: search the indicator costmap for
+# the single code 1, which marks the obstacle cells themselves.
+SINGLE_CELL = Perception(
+    row_pattern=(1,), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0
+)
+
+
 def parse_map(text: str) -> GridMap:
     """Parse the map file format.
 
@@ -259,6 +266,14 @@ def compute_costmap(grid: GridMap) -> Costmap:
         free_mask[cell] = False
     code = _normalize(raw, free_mask, grid.qubits_per_cell)
     return Costmap(raw=raw, code=code)
+
+
+def indicator_costmap(grid: GridMap) -> Costmap:
+    """Benchmark costmap: code 1 on obstacle cells, 0 elsewhere, raw equal to code."""
+    code = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+    for cell in grid.obstacles:
+        code[cell] = 1
+    return Costmap(raw=code.astype(float), code=code)
 
 
 def perceive(grid: GridMap) -> Perception:

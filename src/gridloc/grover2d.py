@@ -22,7 +22,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevec
-from .gridmap import Cell, Costmap, GridMap, Perception, compute_costmap, perceive
+from .gridmap import (
+    SINGLE_CELL,
+    Cell,
+    Costmap,
+    GridMap,
+    Perception,
+    compute_costmap,
+    indicator_costmap,
+    perceive,
+)
 from .statevec import Circuit, GateOp, WidthTooLargeError, h, mcx, mcz, x, z
 
 
@@ -497,43 +506,37 @@ class LocalizationReport:
 
 def run_localization(
     grid: GridMap,
-    perception: Perception | None = None,
     mode: str = "folded",
     shots: int = 4096,
     noise: statevec.NoiseModel | None = None,
     seed: int = 0,
     max_qubits: int = statevec.DEFAULT_MAX_QUBITS,
     repetitions: int | None = None,
-    costmap: Costmap | None = None,
 ) -> LocalizationReport:
     """Locate the robot by amplifying matching anchors.
 
-    The perception defaults to the map robot's, the costmap to the map's
-    own. Folded mode counts the matches first and sizes the repetitions
-    with the exact solution count; faithful mode assumes a single solution.
-    The modal outcome among valid anchor values decodes to a cell, ties
-    going to the lowest anchor index.
+    A map with a robot is searched for the robot's perception in its own
+    costmap. A map without one gets the benchmark reading: the single code
+    1 searched in the obstacle indicator, which marks the obstacles. The
+    width guard runs on the plan before any costmap is built. Folded mode
+    sizes the repetitions with the exact solution count; faithful mode
+    assumes a single solution. The modal outcome among valid anchor values
+    decodes to a cell, ties going to the lowest anchor index.
     """
-    if costmap is None:
-        costmap = compute_costmap(grid)
-    if perception is None:
-        perception = perceive(grid)
-
-    matches = sorted(classical_matches(costmap, perception))
-    if mode == "folded":
-        the_plan = plan(grid, perception, mode, solutions=max(1, len(matches)))
-    else:
-        the_plan = plan(grid, perception, mode)
-    if repetitions is not None:
-        the_plan = replace(the_plan, repetitions=int(repetitions))
-
+    perception = SINGLE_CELL if grid.robot is None else perceive(grid)
+    the_plan = plan(grid, perception, mode)
     if the_plan.total_qubits > max_qubits:
         message = f"{the_plan.mode} layout needs {the_plan.total_qubits} qubits, over the {max_qubits}-qubit budget"
         if the_plan.mode == "faithful":
             message += f"; folded mode needs only {the_plan.search_qubits}"
         raise WidthTooLargeError(message)
 
+    costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
     spec = oracle_spec(the_plan, costmap, perception)
+    if mode == "folded":
+        the_plan = plan(grid, perception, mode, solutions=max(1, len(spec.solutions)))
+    if repetitions is not None:
+        the_plan = replace(the_plan, repetitions=int(repetitions))
     circuit = build_circuit(the_plan, spec)
     state = statevec.init_state(the_plan.total_qubits, max_qubits)
     state = statevec.run(state, circuit, noise=noise, seed=seed)
@@ -551,7 +554,7 @@ def run_localization(
         best = min(valid, key=lambda k: (-valid[k], int(k, 2)))
         decoded = the_plan.anchor_cell(int(best, 2))
 
-    probability = ideal_success_probability(the_plan) if matches else 0.0
+    probability = ideal_success_probability(the_plan) if spec.solutions else 0.0
     return LocalizationReport(
         plan=the_plan,
         histogram=hist,

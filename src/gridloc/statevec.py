@@ -179,12 +179,8 @@ class StateVector:
 
     __slots__ = ("width", "noise_events", "_active", "_order", "_pos", "_frame", "_dense")
 
-    def __init__(self, width: int, amps: np.ndarray, noise_events: int = 0):
-        if amps.shape != (1 << width,):
-            raise ValueError(f"expected {1 << width} amplitudes, got {amps.shape}")
-        self._set(width, amps, list(range(width)), 0, noise_events)
-
     def _set(self, width, active, order, frame, noise_events) -> None:
+        """Bind every field; ``init_state`` and ``copy`` build states with ``__new__`` and this."""
         self.width = width
         self.noise_events = noise_events
         self._active = active

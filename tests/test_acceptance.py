@@ -9,41 +9,37 @@ from __future__ import annotations
 import functools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridloc import (
+    SINGLE_CELL,
     Costmap,
     GridMap,
     NoiseModel,
     Perception,
     budget,
     classical_matches,
+    indicator_costmap,
     load_presets,
     mcl_localize,
     oracle_spec,
     p_gate_failure,
+    parse_map,
     plan,
     query_comparison,
     run_localization,
     substring_search,
     synth_oracle,
 )
+from gridloc.cli import BENCHMARK_OBSTACLES
 from gridloc.grover2d import _prep_ops
 from gridloc.statevec import Circuit, init_state, run, x
 
-PER1 = Perception(row_pattern=(1,), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0)
-
 BENCH_SIZES = [(1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6)]
-BENCH_OBSTACLE = {
-    (1, 2): (0, 1),
-    (2, 2): (1, 1),
-    (3, 3): (0, 1),
-    (4, 4): (2, 1),
-    (5, 5): (3, 2),
-    (6, 6): (3, 2),
-}
+MAPS = Path(__file__).resolve().parent.parent / "maps"
 
 ROW_STRING = "3333323332232123"
 COL_STRING = "3332322133223333"
@@ -67,14 +63,7 @@ def criterion(num: int, title: str):
 
 def bench_grid(rows: int, cols: int) -> GridMap:
     return GridMap(rows=rows, cols=cols,
-                   obstacles=frozenset({BENCH_OBSTACLE[(rows, cols)]}))
-
-
-def indicator(grid: GridMap) -> Costmap:
-    code = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-    for cell in grid.obstacles:
-        code[cell] = 1
-    return Costmap(raw=code.astype(float), code=code)
+                   obstacles=frozenset({BENCHMARK_OBSTACLES[(rows, cols)]}))
 
 
 def marked_sets(grid: GridMap, per: Perception, costmap: Costmap) -> tuple[set, set]:
@@ -118,14 +107,14 @@ def marked_sets(grid: GridMap, per: Perception, costmap: Costmap) -> tuple[set, 
 
 @criterion(1, "qubit budgets match the published table and worked totals exactly")
 def test_criterion_01_qubit_budgets():
-    got = [plan(bench_grid(r, c), PER1, mode="faithful").total_qubits
+    got = [plan(bench_grid(r, c), SINGLE_CELL, mode="faithful").total_qubits
            for r, c in BENCH_SIZES]
     assert got == [7, 10, 17, 24, 34, 46]  # zero tolerance
 
-    small = plan(GridMap(rows=2, cols=3), PER1, mode="faithful")
+    small = plan(GridMap(rows=2, cols=3), SINGLE_CELL, mode="faithful")
     assert small.total_qubits == 13
 
-    mid = plan(GridMap(rows=5, cols=5), PER1, mode="faithful")
+    mid = plan(GridMap(rows=5, cols=5), SINGLE_CELL, mode="faithful")
     assert mid.total_qubits == 34
 
     wide = plan(
@@ -141,11 +130,11 @@ def test_criterion_01_qubit_budgets():
 
 @criterion(2, "repetition schedule matches the table; the 1x2 row diverges as documented")
 def test_criterion_02_repetitions():
-    got = [plan(bench_grid(r, c), PER1).repetitions for r, c in BENCH_SIZES[1:]]
+    got = [plan(bench_grid(r, c), SINGLE_CELL).repetitions for r, c in BENCH_SIZES[1:]]
     assert got == [2, 3, 4, 4, 5]  # zero tolerance
 
-    assert plan(GridMap(rows=2, cols=3), PER1).repetitions == 2
-    assert plan(GridMap(rows=5, cols=5), PER1).repetitions == 4
+    assert plan(GridMap(rows=2, cols=3), SINGLE_CELL).repetitions == 2
+    assert plan(GridMap(rows=5, cols=5), SINGLE_CELL).repetitions == 4
     wide = plan(
         GridMap(rows=4, cols=5),
         Perception(row_pattern=(1, 1), col_pattern=(1, 1),
@@ -156,7 +145,7 @@ def test_criterion_02_repetitions():
     # documented divergence: the published 1x2 row says 1, the ceiling rule
     # used everywhere else gives 2; we assert the rule, not the row
     published_1x2 = 1
-    rule_1x2 = plan(bench_grid(1, 2), PER1).repetitions
+    rule_1x2 = plan(bench_grid(1, 2), SINGLE_CELL).repetitions
     assert rule_1x2 == 2
     assert rule_1x2 != published_1x2
 
@@ -183,8 +172,7 @@ def test_criterion_04_localization_correctness():
     expected_index = {(2, 2): 3, (3, 3): 1, (4, 4): 9, (5, 5): 17, (6, 6): 20}
     for (rows, cols), want in expected_index.items():
         g = bench_grid(rows, cols)
-        rep = run_localization(g, perception=PER1, costmap=indicator(g),
-                               shots=shots, seed=0)
+        rep = run_localization(g, shots=shots, seed=0)
         assert rep.decoded is not None
         assert rep.plan.anchor_index(rep.decoded) == want, (rows, cols)
 
@@ -199,8 +187,7 @@ def test_criterion_04_localization_correctness():
     # four equals; seed 0 is pinned above, and the schedule override R=1
     # shows the amplified circuit itself is sound: every shot lands on 3
     g = bench_grid(2, 2)
-    probe = run_localization(g, perception=PER1, costmap=indicator(g),
-                             shots=shots, seed=0, repetitions=1)
+    probe = run_localization(g, shots=shots, seed=0, repetitions=1)
     assert probe.ideal_success_probability == pytest.approx(1.0)
     assert probe.histogram.counts == {"11": shots}
 
@@ -213,7 +200,7 @@ def test_criterion_05_oracle_equivalence():
         for mask in range(2 ** len(cells)):
             obstacles = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
             g = GridMap(rows=rows, cols=cols, obstacles=obstacles)
-            folded, faithful = marked_sets(g, PER1, indicator(g))
+            folded, faithful = marked_sets(g, SINGLE_CELL, indicator_costmap(g))
             assert folded == faithful, (rows, cols, sorted(obstacles))
 
     # 100 random 3x3/4x4 maps, mixed costmap codes, faithful width <= 24
@@ -242,8 +229,7 @@ def test_criterion_06_success_probability_law():
     shots = 10000
     for n in (4, 8, 16, 64):
         g = GridMap(rows=1, cols=n, obstacles=frozenset({(0, n // 2)}))
-        rep = run_localization(g, perception=PER1, costmap=indicator(g),
-                               shots=shots, seed=13)
+        rep = run_localization(g, shots=shots, seed=13)
         s = rep.plan.search_qubits
         r = math.ceil(math.pi / 4 * math.sqrt(n))
         assert rep.plan.repetitions == r
@@ -256,8 +242,7 @@ def test_criterion_06_success_probability_law():
 
     # N=4 with the schedule overridden to a single round: exact amplification
     g = GridMap(rows=1, cols=4, obstacles=frozenset({(0, 2)}))
-    rep = run_localization(g, perception=PER1, costmap=indicator(g),
-                           shots=shots, seed=13, repetitions=1)
+    rep = run_localization(g, shots=shots, seed=13, repetitions=1)
     assert rep.ideal_success_probability == pytest.approx(1.0)
     assert rep.histogram.counts == {"10": shots}  # every shot correct
 
@@ -337,3 +322,9 @@ def test_criterion_10_out_of_scope_substitutions():
     assert {"ibm-brisbane-2024", "ibm-kyiv-2024"} <= set(presets)
     assert 0.0 < p_gate_failure(presets["ibm-brisbane-2024"].p_gate, 89) < 1.0
     assert NoiseModel(p_gate=3.28e-3, p_meas=0.01).p_gate > 0.0
+
+
+@pytest.mark.parametrize("rows,cols", BENCH_SIZES)
+def test_bench_map_files_match_obstacle_table(rows, cols):
+    text = (MAPS / f"bench_{rows}x{cols}.map").read_text()
+    assert parse_map(text) == bench_grid(rows, cols)  # q=1, range=1, no robot

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridloc import grover2d
 from gridloc.cli import main
 
 BENCH_3X3 = "rows=3 cols=3 q=1 range=1\n.#.\n...\n...\n"
@@ -191,6 +192,17 @@ def test_scale_command(tmp_path):
     by_size = {r[0]: r for r in rows}
     for size in ("3x3", "4x4", "5x5", "6x6"):
         assert by_size[size][-1] == by_size[size][-2]
+
+
+def test_scale_width_guard_runs_before_the_map_is_read(monkeypatch):
+    # 10^6 anchors need 20 search qubits: the guard must refuse before any
+    # costmap is built or scanned, so its cost stays off the cell count.
+    def refuse(*args, **kwargs):
+        raise AssertionError("map read before the width guard")
+
+    monkeypatch.setattr(grover2d, "classical_matches", refuse)
+    monkeypatch.setattr(grover2d, "indicator_costmap", refuse)
+    assert main(["scale", "--sizes", "1000x1000", "--max-qubits", "16"]) == 3
 
 
 def test_scale_bad_size_token(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from gridloc import (
     Budget,
-    DevicePreset,
     ErrorEstimate,
+    NoiseModel,
     estimate,
     load_presets,
     p_gate_failure,
@@ -44,7 +44,7 @@ def test_failure_monotonicity():
 
 def test_estimate_composition():
     budget = Budget(elements=120, depth=89)
-    device = DevicePreset(name="x", p_gate=3.28e-3, p_meas=0.01)
+    device = NoiseModel(p_gate=3.28e-3, p_meas=0.01)
     by_depth = estimate(budget, device, measured_qubits=4)
     assert by_depth.per == "depth"
     assert by_depth.exponent == 89
@@ -58,7 +58,7 @@ def test_estimate_composition():
 
 def test_estimate_as_dict_round_trips():
     d = estimate(Budget(elements=10, depth=5),
-                 DevicePreset(name="x", p_gate=0.001, p_meas=0.02),
+                 NoiseModel(p_gate=0.001, p_meas=0.02),
                  measured_qubits=3).as_dict()
     assert set(d) == {
         "p_gate", "p_meas", "exponent", "measured_qubits",
@@ -68,9 +68,10 @@ def test_estimate_as_dict_round_trips():
 
 def test_device_preset_validation():
     with pytest.raises(ValueError):
-        DevicePreset(name="bad", p_gate=-0.1, p_meas=0.0)
+        NoiseModel(p_gate=-0.1, p_meas=0.0)
     with pytest.raises(ValueError):
-        DevicePreset(name="bad", p_gate=0.0, p_meas=1.5)
+        NoiseModel(p_gate=0.0, p_meas=1.5)
+    assert all(isinstance(preset, NoiseModel) for preset in load_presets().values())
 
 
 def test_presets_carry_published_rates():

@@ -16,6 +16,7 @@ from gridloc import (
     compute_costmap,
     costmap_csv,
     encode_strings,
+    indicator_costmap,
     parse_map,
     perceive,
     perceive_at,
@@ -193,6 +194,16 @@ def test_costmap_reflection_symmetry():
         a = compute_costmap(grid).raw
         b = compute_costmap(flipped).raw
         assert np.allclose(a, b[::-1, ::-1])
+
+
+def test_indicator_costmap_marks_exactly_the_obstacles():
+    obstacles = frozenset({(0, 1), (2, 3), (1, 0)})
+    cm = indicator_costmap(GridMap(rows=3, cols=4, obstacles=obstacles, qubits_per_cell=2))
+    assert {(int(r), int(c)) for r, c in np.argwhere(cm.code == 1)} == obstacles
+    assert {(int(r), int(c)) for r, c in np.argwhere(cm.code == 0)} == {
+        (r, c) for r in range(3) for c in range(4)
+    } - obstacles
+    assert np.array_equal(cm.raw, cm.code)
 
 
 def test_costmap_is_read_only():

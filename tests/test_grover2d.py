@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
+    SINGLE_CELL,
     Budget,
     Costmap,
     GridMap,
@@ -20,6 +21,7 @@ from gridloc import (
     circuit_budget,
     classical_matches,
     compute_costmap,
+    indicator_costmap,
     oracle_spec,
     parse_map,
     perceive,
@@ -30,16 +32,6 @@ from gridloc import (
 )
 from gridloc.grover2d import _faithful_oracle_ops, _prep_ops
 from gridloc.statevec import Circuit, WidthTooLargeError, h, init_state, mcx, run
-
-PER1 = Perception(row_pattern=(1,), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0)
-
-
-def indicator(grid: GridMap) -> Costmap:
-    code = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-    for cell in grid.obstacles:
-        code[cell] = 1
-    return Costmap(raw=code.astype(float), code=code)
-
 
 def matcher_oracle(costmap: Costmap, per: Perception) -> set:
     """Independent double-loop matcher for cross-checking classical_matches."""
@@ -115,7 +107,7 @@ def test_plan_basic_arithmetic():
 
 def test_plan_folded_width_is_search_register():
     g = GridMap(rows=3, cols=3, obstacles=frozenset({(0, 1)}))
-    p = plan(g, PER1, mode="folded")
+    p = plan(g, SINGLE_CELL, mode="folded")
     assert p.total_qubits == p.search_qubits == 4
 
 
@@ -127,7 +119,7 @@ def test_plan_rejects_oversized_pattern():
         with pytest.raises(ValueError):
             plan(g, per)
         with pytest.raises(ValueError, match="longer than the map side"):
-            classical_matches(indicator(g), per)
+            classical_matches(indicator_costmap(g), per)
 
 
 def test_anchor_index_bijection():
@@ -226,10 +218,10 @@ def test_folded_oracle_phases_exhaustive():
         cells = [(r, c) for r in range(rows) for c in range(cols)]
         obstacles = frozenset(rng.sample(cells, rng.randint(0, len(cells))))
         g = GridMap(rows=rows, cols=cols, obstacles=obstacles)
-        cm = indicator(g)
-        matches = classical_matches(cm, PER1)
-        p = plan(g, PER1, mode="folded", solutions=max(1, len(matches)))
-        spec = oracle_spec(p, cm, PER1)
+        cm = indicator_costmap(g)
+        matches = classical_matches(cm, SINGLE_CELL)
+        p = plan(g, SINGLE_CELL, mode="folded", solutions=max(1, len(matches)))
+        spec = oracle_spec(p, cm, SINGLE_CELL)
         want = {p.anchor_index(cell) for cell in matches}
         assert marked_set_folded(p, spec) == want
 
@@ -241,10 +233,10 @@ def test_faithful_oracle_phases_exhaustive():
         cells = [(r, c) for r in range(rows) for c in range(cols)]
         obstacles = frozenset(rng.sample(cells, rng.randint(0, len(cells))))
         g = GridMap(rows=rows, cols=cols, obstacles=obstacles)
-        cm = indicator(g)
-        matches = classical_matches(cm, PER1)
-        p = plan(g, PER1, mode="faithful")
-        spec = oracle_spec(p, cm, PER1)
+        cm = indicator_costmap(g)
+        matches = classical_matches(cm, SINGLE_CELL)
+        p = plan(g, SINGLE_CELL, mode="faithful")
+        spec = oracle_spec(p, cm, SINGLE_CELL)
         want = {p.anchor_index(cell) for cell in matches}
         assert marked_set_faithful(p, spec) == want
 
@@ -267,8 +259,7 @@ def test_faithful_matches_folded_on_multicell_patterns():
 
 def test_empty_solution_set_gives_uniform():
     g = GridMap(rows=2, cols=2)  # no obstacle anywhere, pattern wants a 1
-    cm = indicator(g)
-    rep = run_localization(g, perception=PER1, costmap=cm, shots=2000, seed=0)
+    rep = run_localization(g, shots=2000, seed=0)
     assert rep.ideal_success_probability == 0.0
     probs = np.array(list(rep.histogram.counts.values())) / rep.histogram.shots
     assert probs.max() < 0.5
@@ -279,7 +270,7 @@ def test_empty_solution_set_gives_uniform():
 
 def test_diffusion_fixed_point():
     g = GridMap(rows=3, cols=3, obstacles=frozenset({(0, 1)}))
-    p = plan(g, PER1, mode="folded")
+    p = plan(g, SINGLE_CELL, mode="folded")
     circ = synth_diffusion(p)
     state = init_state(p.search_qubits)
     for q in range(p.search_qubits):
@@ -290,7 +281,7 @@ def test_diffusion_fixed_point():
 
 def test_diffusion_matrix_is_reflection():
     g = GridMap(rows=2, cols=2)
-    p = plan(g, PER1, mode="folded")
+    p = plan(g, SINGLE_CELL, mode="folded")
     assert p.search_qubits == 2
     circ = synth_diffusion(p)
     dim = 4
@@ -312,9 +303,7 @@ def test_diffusion_matrix_is_reflection():
 
 def test_single_iteration_perfect_on_four():
     g = GridMap(rows=2, cols=2, obstacles=frozenset({(1, 1)}))
-    cm = indicator(g)
-    rep = run_localization(g, perception=PER1, costmap=cm, shots=400, seed=0,
-                           repetitions=1)
+    rep = run_localization(g, shots=400, seed=0, repetitions=1)
     assert rep.decoded == (1, 1)
     assert rep.histogram.counts == {"11": 400}
     assert rep.ideal_success_probability == pytest.approx(1.0)
@@ -326,9 +315,8 @@ def test_single_iteration_perfect_on_four():
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16, 25, 36])
 def test_success_probability_law(n):
     g = GridMap(rows=1, cols=n, obstacles=frozenset({(0, n // 2)}))
-    cm = indicator(g)
     shots = 3000
-    rep = run_localization(g, perception=PER1, costmap=cm, shots=shots, seed=11)
+    rep = run_localization(g, shots=shots, seed=11)
     s = max(1, math.ceil(math.log2(n)))
     r = math.ceil(math.pi / 4 * math.sqrt(n))
     p_ideal = math.sin((2 * r + 1) * math.asin(math.sqrt(1 / 2**s))) ** 2
@@ -360,7 +348,7 @@ def test_budget_control_expansion():
 
 def test_budget_mode_independent():
     g = GridMap(rows=3, cols=3, obstacles=frozenset({(0, 1)}))
-    assert budget(plan(g, PER1, mode="folded")) == budget(plan(g, PER1, mode="faithful"))
+    assert budget(plan(g, SINGLE_CELL, mode="folded")) == budget(plan(g, SINGLE_CELL, mode="faithful"))
 
 
 def test_budget_obstacle_invariance():
@@ -368,7 +356,7 @@ def test_budget_obstacle_invariance():
     for n_obs in (1, 3, 5):
         obstacles = frozenset({(0, i) for i in range(n_obs)})
         g = GridMap(rows=4, cols=5, obstacles=obstacles)
-        b = budget(plan(g, PER1))
+        b = budget(plan(g, SINGLE_CELL))
         if base is None:
             base = b
         assert b == base
@@ -379,7 +367,7 @@ def test_budget_monotone_over_benchmark_series():
     last = None
     for rows, cols in sizes:
         g = GridMap(rows=rows, cols=cols, obstacles=frozenset({(0, 0)}))
-        b = budget(plan(g, PER1))
+        b = budget(plan(g, SINGLE_CELL))
         if last is not None:
             assert b.elements > last.elements
             assert b.depth > last.depth
@@ -388,7 +376,7 @@ def test_budget_monotone_over_benchmark_series():
 
 def test_budget_within_factor_two_of_reference_case():
     g = GridMap(rows=2, cols=3, obstacles=frozenset({(0, 1)}))
-    b = budget(plan(g, PER1, mode="faithful"))
+    b = budget(plan(g, SINGLE_CELL, mode="faithful"))
     assert 163 / 2 <= b.elements <= 163 * 2
     assert 89 / 2 <= b.depth <= 89 * 2
 
@@ -429,8 +417,8 @@ MAPS = Path(__file__).resolve().parent.parent / "maps"
 
 # Every (rows, cols, q, perception) the rest of the suite plans on.
 SUITE_GEOMETRIES = (
-    [(r, c, 1, PER1) for r, c in [(1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 3), (4, 5)]]
-    + [(1, n, 1, PER1) for n in (4, 6, 8, 12, 16, 25, 36, 64)]
+    [(r, c, 1, SINGLE_CELL) for r, c in [(1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 3), (4, 5)]]
+    + [(1, n, 1, SINGLE_CELL) for n in (4, 6, 8, 12, 16, 25, 36, 64)]
     + [
         (4, 5, 1, Perception((1, 0), (0, 1), 0, 0)),
         (4, 5, 2, Perception((2, 1), (1, 2), 0, 0)),
@@ -476,11 +464,11 @@ def test_budget_matches_reference_meter_sweep(rows, cols, q, sensor_range, reps,
 @pytest.mark.parametrize(
     "rows,cols,per,shape",
     [
-        (1, 1, PER1, (1, 1)),  # a single anchor: head, boundaries and tail only
+        (1, 1, SINGLE_CELL, (1, 1)),  # a single anchor: head, boundaries and tail only
         (3, 3, Perception((0, 0, 0), (0, 0, 0), 1, 1), (1, 1)),
         (5, 3, Perception((0, 0, 0), (0,), 1, 0), (5, 1)),  # wraps, no steps
         (4, 6, Perception((0,), (0, 0, 0, 0), 0, 2), (1, 6)),  # steps, no wraps
-        (1, 2, PER1, (1, 2)),
+        (1, 2, SINGLE_CELL, (1, 2)),
     ],
 )
 def test_budget_edge_geometries(rows, cols, per, shape):
@@ -492,7 +480,7 @@ def test_budget_edge_geometries(rows, cols, per, shape):
 
 
 def test_budget_single_search_qubit_diffusion():
-    p = plan(GridMap(rows=1, cols=2), PER1, mode="faithful")
+    p = plan(GridMap(rows=1, cols=2), SINGLE_CELL, mode="faithful")
     assert p.search_qubits == 1
     kinds = [op.kind for op in synth_diffusion(p).ops]
     assert "Z" in kinds and "MCZ" not in kinds
@@ -507,7 +495,7 @@ def test_budget_pinned_folded_64x64():
 
 
 def test_budget_pinned_faithful_48x48_indicator():
-    p = plan(GridMap(rows=48, cols=48), PER1, mode="faithful")
+    p = plan(GridMap(rows=48, cols=48), SINGLE_CELL, mode="faithful")
     assert p.repetitions == 38
     assert budget(p) == Budget(elements=2716064, depth=2627399)
 
@@ -528,25 +516,21 @@ def test_run_localization_full_pipeline_demo():
 
 def test_run_localization_deterministic():
     g = GridMap(rows=3, cols=3, obstacles=frozenset({(0, 1)}))
-    cm = indicator(g)
-    a = run_localization(g, perception=PER1, costmap=cm, shots=512, seed=4)
-    b = run_localization(g, perception=PER1, costmap=cm, shots=512, seed=4)
+    a = run_localization(g, shots=512, seed=4)
+    b = run_localization(g, shots=512, seed=4)
     assert a.histogram.counts == b.histogram.counts
     assert a.decoded == b.decoded
 
 
 def test_run_localization_width_guard_names_folded():
     g = GridMap(rows=5, cols=5, obstacles=frozenset({(3, 2)}))
-    cm = indicator(g)
     with pytest.raises(WidthTooLargeError) as err:
-        run_localization(g, perception=PER1, costmap=cm, mode="faithful")
+        run_localization(g, mode="faithful")
     assert "folded" in str(err.value)
 
 
 def test_run_localization_faithful_small_case():
     g = GridMap(rows=2, cols=3, obstacles=frozenset({(1, 2)}))
-    cm = indicator(g)
-    rep = run_localization(g, perception=PER1, costmap=cm, mode="faithful",
-                           shots=1500, seed=2)
+    rep = run_localization(g, mode="faithful", shots=1500, seed=2)
     assert rep.decoded == (1, 2)
     assert rep.plan.total_qubits == 13
