@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .classical import (
     MclResult,
-    ParticleSet,
     QueryCounter,
     mcl_localize,
     mcl_trace_csv,
@@ -93,7 +92,6 @@ __all__ = [
     "NoRobotError",
     "NoiseModel",
     "OracleSpec",
-    "ParticleSet",
     "Perception",
     "QueryCounter",
     "RegisterLayout",

@@ -65,30 +65,20 @@ def query_comparison(n: int) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class ParticleSet:
-    """Weighted particle cloud at one instant."""
-
-    particles: tuple[tuple[int, int, float], ...]
-    normalized: bool
-
-    def __post_init__(self):
-        if any(w < 0 for _, _, w in self.particles):
-            raise ValueError("particle weights must be nonnegative")
-        if self.normalized and abs(self.weight_sum() - 1.0) > 1e-9:
-            raise ValueError("normalized particle weights must sum to 1")
-
-    def weight_sum(self) -> float:
-        return sum(w for _, _, w in self.particles)
-
-
-@dataclass(frozen=True)
 class MclResult:
+    """Outcome of one particle-filter run.
+
+    ``history`` holds one ``(rows, cols, weights)`` record per iteration:
+    three arrays giving every particle's cell and normalized weight after
+    the move and before resampling.
+    """
+
     estimate: Cell
     iterations_used: int
     converged: bool
     robot: Cell
     sense_ops: int
-    history: tuple[ParticleSet, ...] = field(repr=False)
+    history: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -98,11 +88,6 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0  # guard against float shortfall
     return np.searchsorted(cumulative, positions)
-
-
-def _step(grid: GridMap, cell: Cell, delta: tuple[int, int]) -> Cell:
-    nxt = (cell[0] + delta[0], cell[1] + delta[1])
-    return nxt if grid.is_free(nxt) else cell
 
 
 def mcl_localize(
@@ -119,7 +104,7 @@ def mcl_localize(
     alike (blocked moves stay put), weights particles by exact perception
     agreement, then resamples systematically. Stops once 90% of the cloud
     sits on one cell or the iteration limit runs out. The estimate is the
-    modal particle cell.
+    modal particle cell, ties going to the first cell in row-major order.
     """
     if true_robot is None:
         true_robot = grid.robot
@@ -129,57 +114,48 @@ def mcl_localize(
         raise ValueError(f"robot cell {true_robot} is not free")
     if particle_count < 1:
         raise ValueError("particle_count must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
+    # Particles and the robot are indices into the row-major free-cell list.
     free = grid.free_cells()
-    # Perception signatures are static per cell; compute each once.
-    signature = {cell: perceive_at(grid, cell) for cell in free}
+    n_free = len(free)
+    coords = np.array(free)
+    # index[r + 1, c + 1] is the free index of (r, c); obstacles and the border hold -1.
+    index = np.full((grid.rows + 2, grid.cols + 2), -1)
+    index[coords[:, 0] + 1, coords[:, 1] + 1] = np.arange(n_free)
+    # moves[k, i] is where step k takes free cell i; a blocked step stays put.
+    dr, dc = np.array(CARDINAL_STEPS).T[:, :, None]
+    nxt = index[coords[:, 0] + 1 + dr, coords[:, 1] + 1 + dc]
+    moves = np.where(nxt >= 0, nxt, np.arange(n_free))
+    # Perception is static per cell: compute it once and number each distinct one.
+    ids: dict = {}
+    signature = np.array([ids.setdefault(perceive_at(grid, cell), len(ids)) for cell in free])
 
     rng = np.random.default_rng(seed)
-    cells = [free[int(i)] for i in rng.integers(len(free), size=particle_count)]
-    robot = true_robot
-    history: list[ParticleSet] = []
-    sense_ops = 0
+    cells = rng.integers(n_free, size=particle_count)
+    robot = index[true_robot[0] + 1, true_robot[1] + 1]
+    history = []
     converged = False
-    iterations = 0
-
     for iterations in range(1, max_iters + 1):
-        delta = CARDINAL_STEPS[int(rng.integers(4))]
-        robot = _step(grid, robot, delta)
-        cells = [_step(grid, cell, delta) for cell in cells]
-
-        target = signature[robot]
-        weights = np.empty(particle_count)
-        for i, cell in enumerate(cells):
-            sense_ops += 1
-            weights[i] = 1.0 if signature[cell] == target else MISMATCH_WEIGHT
+        step = moves[int(rng.integers(4))]
+        robot = step[robot]
+        cells = step[cells]
+        weights = np.where(signature[cells] == signature[robot], 1.0, MISMATCH_WEIGHT)
         weights /= weights.sum()
-        history.append(
-            ParticleSet(
-                particles=tuple((r, c, float(w)) for (r, c), w in zip(cells, weights)),
-                normalized=True,
-            )
-        )
-
-        cells = [cells[int(i)] for i in _systematic_resample(weights, rng)]
-
-        tally: dict[Cell, int] = {}
-        for cell in cells:
-            tally[cell] = tally.get(cell, 0) + 1
-        top = max(tally.values())
-        if top >= CONVERGENCE_SHARE * particle_count:
+        history.append((coords[cells, 0], coords[cells, 1], weights))
+        cells = cells[_systematic_resample(weights, rng)]
+        tally = np.bincount(cells)
+        if tally.max() >= CONVERGENCE_SHARE * particle_count:
             converged = True
             break
 
-    tally = {}
-    for cell in cells:
-        tally[cell] = tally.get(cell, 0) + 1
-    estimate = min(tally, key=lambda cell: (-tally[cell], cell))
     return MclResult(
-        estimate=estimate,
+        estimate=free[int(tally.argmax())],
         iterations_used=iterations,
         converged=converged,
-        robot=robot,
-        sense_ops=sense_ops,
+        robot=free[int(robot)],
+        sense_ops=iterations * particle_count,
         history=tuple(history),
     )
 
@@ -187,7 +163,7 @@ def mcl_localize(
 def mcl_trace_csv(history) -> str:
     """Per-iteration particle dump: ``iter,row,col,weight``."""
     lines = ["iter,row,col,weight"]
-    for i, snapshot in enumerate(history, start=1):
-        for r, c, w in snapshot.particles:
+    for i, (rows, cols, weights) in enumerate(history, start=1):
+        for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
             lines.append(f"{i},{r},{c},{w:.9f}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ Subcommands cover the full workflow: dump a costmap, inspect the robot's
 perception, run the amplified localization, run the particle-filter
 baseline, sweep benchmark grid sizes, and compare the two approaches on
 one map. Exit codes: 0 on success, 2 for input problems, 3 when a
-requested simulation would not fit the memory budget.
+request would not fit the qubit budget or the host's memory.
 """
 
 from __future__ import annotations
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except statevec.WidthTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: the host cannot allocate memory for this request: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,21 +147,6 @@ def _kernel(amps: np.ndarray, width: int, kind: str, target: int, controls) -> N
         hi *= -1.0
 
 
-def _apply_pauli(amps: np.ndarray, width: int, pauli: int, qubit: int) -> None:
-    # pauli: 0 = X, 1 = Y, 2 = Z. Only the noise channel uses Y.
-    lo, hi = _views(amps, width, qubit, ())
-    if pauli == 0:
-        tmp = lo.copy()
-        lo[...] = hi
-        hi[...] = tmp
-    elif pauli == 1:
-        tmp = lo.copy()
-        lo[...] = -1j * hi
-        hi[...] = 1j * tmp
-    else:
-        hi *= -1.0
-
-
 class StateVector:
     """Amplitudes over ``width`` qubits, qubit 0 = least significant bit.
 
@@ -262,18 +247,13 @@ class StateVector:
         _kernel(self._active, len(self._order), kind, t, controls)
 
     def _pauli(self, pauli: int, qubit: int) -> None:
-        # pauli: 0 = X, 1 = Y, 2 = Z. Y|0> = i|1> and Y|1> = -i|0>.
-        p = self._pos[qubit]
-        if p >= 0:
-            _apply_pauli(self._active, len(self._order), pauli, p)
-            return
-        bit = (self._frame >> qubit) & 1
+        # pauli: 0 = X, 1 = Y, 2 = Z, run as gates. Y = i·X·Z: Z, then X, then a phase of i.
+        if pauli != 0:
+            self._apply(z(qubit))
         if pauli != 2:
-            self._frame ^= 1 << qubit
+            self._apply(x(qubit))
         if pauli == 1:
-            self._active *= -1j if bit else 1j
-        elif pauli == 2 and bit:
-            self._active *= -1.0
+            self._active *= 1j
 
 
 def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:

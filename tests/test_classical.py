@@ -5,16 +5,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloc import (
     GridMap,
-    ParticleSet,
     mcl_localize,
     mcl_trace_csv,
+    perceive_at,
     query_comparison,
     substring_search,
 )
-from gridloc.classical import _systematic_resample
+from gridloc.classical import (
+    CARDINAL_STEPS,
+    CONVERGENCE_SHARE,
+    MISMATCH_WEIGHT,
+    _systematic_resample,
+)
 
 
 def windowed_matches(haystack: str, needle: str) -> list[int]:
@@ -87,17 +94,6 @@ def test_query_comparison_values():
 # ---------------------------------------------------------------- resampling
 
 
-def test_particle_set_normalization_guard():
-    with pytest.raises(ValueError):
-        ParticleSet(particles=((0, 0, 0.5), (0, 1, 0.2)), normalized=True)
-    with pytest.raises(ValueError):
-        ParticleSet(particles=((0, 0, -0.1), (0, 1, 1.1)), normalized=True)
-    ps = ParticleSet(particles=((0, 0, 0.5), (0, 1, 0.5)), normalized=True)
-    assert ps.weight_sum() == pytest.approx(1.0)
-    # raw weights may sum to anything before normalization
-    ParticleSet(particles=((0, 0, 0.5), (0, 1, 0.2)), normalized=False)
-
-
 def test_systematic_resample_is_proportional():
     weights = np.array([0.5, 0.25, 0.125, 0.125])
     n = len(weights)
@@ -158,9 +154,9 @@ def test_mcl_weights_normalized_every_iteration():
                    sensor_range=1)
     result = mcl_localize(grid, particle_count=60, max_iters=10, seed=3)
     assert result.history
-    for ps in result.history:
-        assert ps.weight_sum() == pytest.approx(1.0, abs=1e-9)
-        assert len(ps.particles) == 60
+    for rows, cols, weights in result.history:
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(rows) == len(cols) == len(weights) == 60
 
 
 def test_mcl_sense_work_is_linear_in_particles():
@@ -190,11 +186,11 @@ def test_mcl_progression_map():
     assert result.converged
     assert result.estimate == result.robot
     # modal share grows from diffuse start to the convergence threshold
-    first = result.history[0]
+    rows, cols, _ = result.history[0]
     counts: dict = {}
-    for r, c, _ in first.particles:
+    for r, c in zip(rows, cols):
         counts[(r, c)] = counts.get((r, c), 0) + 1
-    assert max(counts.values()) / len(first.particles) < 0.9
+    assert max(counts.values()) / len(rows) < 0.9
 
 
 def test_mcl_trace_csv_format():
@@ -207,3 +203,97 @@ def test_mcl_trace_csv_format():
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[3])
+
+
+# ------------------------------------------------ particle-loop reference
+
+
+def reference_mcl(grid: GridMap, true_robot, particle_count: int, max_iters: int, seed: int):
+    """The particle filter as a plain per-particle loop over cell tuples.
+
+    Same RNG draw order as ``mcl_localize``: the initial cloud, then per
+    iteration one step draw and the resampling draw. Returns the result
+    fields and the trace CSV text.
+    """
+    if true_robot is None:
+        true_robot = grid.robot
+
+    def step(cell, delta):
+        nxt = (cell[0] + delta[0], cell[1] + delta[1])
+        return nxt if grid.is_free(nxt) else cell
+
+    free = grid.free_cells()
+    signature = {cell: perceive_at(grid, cell) for cell in free}
+    rng = np.random.default_rng(seed)
+    cells = [free[int(i)] for i in rng.integers(len(free), size=particle_count)]
+    robot = true_robot
+    lines = ["iter,row,col,weight"]
+    sense_ops = 0
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        delta = CARDINAL_STEPS[int(rng.integers(4))]
+        robot = step(robot, delta)
+        cells = [step(cell, delta) for cell in cells]
+        target = signature[robot]
+        weights = np.empty(particle_count)
+        for i, cell in enumerate(cells):
+            sense_ops += 1
+            weights[i] = 1.0 if signature[cell] == target else MISMATCH_WEIGHT
+        weights /= weights.sum()
+        for (r, c), w in zip(cells, weights):
+            lines.append(f"{iterations},{r},{c},{float(w):.9f}")
+        cells = [cells[int(i)] for i in _systematic_resample(weights, rng)]
+        tally: dict = {}
+        for cell in cells:
+            tally[cell] = tally.get(cell, 0) + 1
+        if max(tally.values()) >= CONVERGENCE_SHARE * particle_count:
+            converged = True
+            break
+    estimate = min(tally, key=lambda cell: (-tally[cell], cell))
+    return {
+        "estimate": estimate,
+        "iterations_used": iterations,
+        "converged": converged,
+        "robot": robot,
+        "sense_ops": sense_ops,
+        "trace": "\n".join(lines) + "\n",
+    }
+
+
+@st.composite
+def mcl_cases(draw):
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    free = [cell for cell in cells if cell not in obstacles]
+    robot = draw(st.sampled_from(free))
+    explicit = draw(st.booleans())
+    grid = GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(obstacles),
+        robot=None if explicit else robot,
+        qubits_per_cell=draw(st.integers(1, 2)),
+        sensor_range=draw(st.integers(1, 3)),
+    )
+    return grid, robot if explicit else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=mcl_cases(),
+    particle_count=st.integers(1, 300),
+    max_iters=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_mcl_matches_particle_loop_reference(case, particle_count, max_iters, seed):
+    grid, true_robot = case
+    ref = reference_mcl(grid, true_robot, particle_count, max_iters, seed)
+    result = mcl_localize(grid, true_robot=true_robot, particle_count=particle_count,
+                          max_iters=max_iters, seed=seed)
+    assert result.estimate == ref["estimate"]
+    assert result.iterations_used == ref["iterations_used"]
+    assert result.converged == ref["converged"]
+    assert result.robot == ref["robot"]
+    assert result.sense_ops == ref["sense_ops"]
+    assert mcl_trace_csv(result.history) == ref["trace"]

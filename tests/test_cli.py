@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridloc import grover2d
+from gridloc import classical, grover2d, statevec
 from gridloc.cli import main
 
 BENCH_3X3 = "rows=3 cols=3 q=1 range=1\n.#.\n...\n...\n"
@@ -137,6 +137,30 @@ def test_grover_promotion_allocation_failure_exits_3(bench_map, tmp_path, monkey
     assert main(["grover", "--map", bench_map, "--out", str(out)]) == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "module, name, command",
+    [(statevec, "sample", "grover"), (classical, "_systematic_resample", "mcl")],
+    ids=["grover-shots", "mcl-particles"],
+)
+def test_memory_error_exits_3(robot_map, tmp_path, monkeypatch, capsys, module, name, command):
+    # Stands in for numpy refusing an oversized --shots or --particles
+    # array, so the test allocates nothing large.
+    def refuse(*args, **kwargs):
+        raise MemoryError("refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "out.json"
+    assert main([command, "--map", robot_map, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_mcl_max_iters_below_one_is_input_error(robot_map, value, capsys):
+    assert main(["mcl", "--map", robot_map, "--max-iters", value]) == 2
+    assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "61", "1000"])

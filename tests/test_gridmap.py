@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloc import (
     Costmap,
@@ -73,6 +75,24 @@ def random_grid(rng: random.Random, max_side: int = 5, with_robot: bool = False)
     )
 
 
+@st.composite
+def grids(draw) -> GridMap:
+    """Sides 1-12, any obstacle set, an optional robot on a free cell, q 1-5, range 1-4."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    obstacles = draw(st.sets(st.sampled_from(cells)))
+    free = [cell for cell in cells if cell not in obstacles]
+    robot = draw(st.one_of(st.none(), st.sampled_from(free))) if free else None
+    return GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(obstacles),
+        robot=robot,
+        qubits_per_cell=draw(st.integers(1, 5)),
+        sensor_range=draw(st.integers(1, 4)),
+    )
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -84,6 +104,12 @@ def test_parse_round_trip():
     assert grid.robot == (1, 2)
     assert grid.qubits_per_cell == 2 and grid.sensor_range == 2
     assert to_text(grid) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=grids())
+def test_parse_inverts_to_text(grid):
+    assert parse_map(to_text(grid)) == grid
 
 
 def test_parse_rejects_bad_header():
@@ -196,6 +222,14 @@ def test_costmap_reflection_symmetry():
         assert np.allclose(a, b[::-1, ::-1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(grid=grids())
+def test_costmap_codes_fit_in_q_bits(grid):
+    code = compute_costmap(grid).code
+    assert code.min() >= 0
+    assert code.max() <= 2**grid.qubits_per_cell - 1
+
+
 def test_indicator_costmap_marks_exactly_the_obstacles():
     obstacles = frozenset({(0, 1), (2, 3), (1, 0)})
     cm = indicator_costmap(GridMap(rows=3, cols=4, obstacles=obstacles, qubits_per_cell=2))
@@ -300,6 +334,15 @@ def test_perceive_at_matches_perceive():
     grid = GridMap(rows=3, cols=4, obstacles=frozenset({(2, 1)}), robot=(0, 2),
                    qubits_per_cell=2, sensor_range=2)
     assert perceive_at(grid, (0, 2)) == perceive(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=grids())
+def test_perception_codes_fit_in_q_bits(grid):
+    top = 2**grid.qubits_per_cell - 1
+    for cell in grid.free_cells():
+        per = perceive_at(grid, cell)
+        assert all(0 <= v <= top for v in per.row_pattern + per.col_pattern)
 
 
 def test_perception_validation():
