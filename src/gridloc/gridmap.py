@@ -79,6 +79,13 @@ class GridMap:
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.obstacles
 
+    def obstacle_mask(self) -> np.ndarray:
+        """Boolean (rows, cols) array, True on obstacle cells."""
+        mask = np.zeros((self.rows, self.cols), dtype=bool)
+        for cell in self.obstacles:
+            mask[cell] = True
+        return mask
+
     def free_cells(self) -> list[Cell]:
         return [
             (r, c)
@@ -233,24 +240,18 @@ def _influence(rows: int, cols: int, obstacles, initial: float) -> np.ndarray:
 
 
 def _normalize(raw: np.ndarray, free_mask: np.ndarray, qubits_per_cell: int) -> np.ndarray:
-    """Map raw values to integer codes in [0, 2**q - 1].
+    """Map each of n raw fields, shape (n, rows, cols), to integer codes in [0, 2**q - 1].
 
-    Min and max are taken over free cells only; obstacle cells are forced
-    to the top code. Rounding is half-up. A flat field codes to all zeros.
+    Min and max are taken over a field's free cells only; its other cells
+    take the top code. Rounding is half-up. A flat field codes to zeros.
     """
     top = (1 << qubits_per_cell) - 1
-    code = np.zeros(raw.shape, dtype=np.int64)
-    if free_mask.any():
-        lo = raw[free_mask].min()
-        hi = raw[free_mask].max()
-        if hi > lo:
-            factor = (hi - lo) / top
-            scaled = np.floor((raw - lo) / factor + 0.5).astype(np.int64)
-            code = np.clip(scaled, 0, top)
-        code[~free_mask] = top
-    else:
-        code[:] = top
-    return code
+    lo = np.where(free_mask, raw, np.inf).min(axis=(1, 2), keepdims=True)
+    hi = np.where(free_mask, raw, -np.inf).max(axis=(1, 2), keepdims=True)
+    sloped = hi > lo
+    factor = np.where(sloped, (hi - lo) / top, 1.0)
+    scaled = np.clip(np.floor((raw - lo) / factor + 0.5), 0, top)
+    return np.where(free_mask, np.where(sloped, scaled, 0), top).astype(np.int64)
 
 
 def compute_costmap(grid: GridMap) -> Costmap:
@@ -261,18 +262,13 @@ def compute_costmap(grid: GridMap) -> Costmap:
     """
     initial = float(max(grid.rows, grid.cols))
     raw = _influence(grid.rows, grid.cols, grid.obstacles, initial)
-    free_mask = np.ones((grid.rows, grid.cols), dtype=bool)
-    for cell in grid.obstacles:
-        free_mask[cell] = False
-    code = _normalize(raw, free_mask, grid.qubits_per_cell)
+    code = _normalize(raw[None], ~grid.obstacle_mask()[None], grid.qubits_per_cell)[0]
     return Costmap(raw=raw, code=code)
 
 
 def indicator_costmap(grid: GridMap) -> Costmap:
     """Benchmark costmap: code 1 on obstacle cells, 0 elsewhere, raw equal to code."""
-    code = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-    for cell in grid.obstacles:
-        code[cell] = 1
+    code = grid.obstacle_mask().astype(np.int64)
     return Costmap(raw=code.astype(float), code=code)
 
 
@@ -284,45 +280,63 @@ def perceive(grid: GridMap) -> Perception:
 
 
 def perceive_at(grid: GridMap, cell: Cell) -> Perception:
-    """Perception as it would be sensed from a given free cell.
-
-    Only obstacles within sensor_range (Manhattan) of the cell are sensed,
-    and the local field is normalized over the sensed ball alone, so map
-    edits beyond the range can never leak into the result.
-    """
+    """Perception as it would be sensed from a given free cell: one row of perception_codes."""
     if not grid.in_bounds(cell):
         raise ValueError(f"cell {cell} outside grid")
     if cell in grid.obstacles:
         raise ValueError(f"cannot perceive from obstacle cell {cell}")
-
-    rng = grid.sensor_range
-    rr, rc = cell
-    rrows = np.arange(grid.rows)[:, None]
-    ccols = np.arange(grid.cols)[None, :]
-    ball = (np.abs(rrows - rr) + np.abs(ccols - rc)) <= rng
-
-    near = [o for o in grid.obstacles if abs(o[0] - rr) + abs(o[1] - rc) <= rng]
-    initial = float(max(grid.rows, grid.cols))
-    raw = _influence(grid.rows, grid.cols, near, initial)
-
-    free_mask = ball.copy()
-    for o in near:
-        free_mask[o] = False
-    code = _normalize(raw, free_mask, grid.qubits_per_cell)
-    top = (1 << grid.qubits_per_cell) - 1
-    for o in near:
-        code[o] = top
-
-    c_lo, c_hi = max(0, rc - rng), min(grid.cols - 1, rc + rng)
-    r_lo, r_hi = max(0, rr - rng), min(grid.rows - 1, rr + rng)
-    row_pattern = tuple(int(code[rr, c]) for c in range(c_lo, c_hi + 1))
-    col_pattern = tuple(int(code[r, rc]) for r in range(r_lo, r_hi + 1))
+    row, col = perception_codes(grid, [cell])[0]
     return Perception(
-        row_pattern=row_pattern,
-        col_pattern=col_pattern,
-        anchor_offset_row=rc - c_lo,
-        anchor_offset_col=rr - r_lo,
+        row_pattern=tuple(row[row >= 0].tolist()),
+        col_pattern=tuple(col[col >= 0].tolist()),
+        anchor_offset_row=min(cell[1], grid.sensor_range),
+        anchor_offset_col=min(cell[0], grid.sensor_range),
     )
+
+
+def perception_codes(grid: GridMap, cells) -> np.ndarray:
+    """Perception of many free cells in one pass, as an int64 (n, 2, 2*range + 1) array.
+
+    For cell k at (r, c), ``[k, 0]`` holds the codes of row r over columns
+    c - range .. c + range and ``[k, 1]`` those of column c over rows
+    r - range .. r + range; -1 marks positions off the grid. A cell senses
+    only the obstacles within range and normalizes over its sensing ball
+    alone, so edits beyond the range never leak in. Its field lives on a
+    window of at most 2*range + 1 rows and columns that holds the ball. The
+    influence is separable, so that field is 2·initial·(E_h @ W @ E_w), with
+    W the obstacles in the ball and E[i, j] = 2^(−|i−j|); obstacle cells get
+    their own term too, but take the top code regardless. The terms are
+    dyadic, so the sums are exact in any order while max(rows, cols)·n·2^(D+1)
+    < 2^53, with n the obstacles in a ball and D = min(2·range, rows + cols − 2).
+    """
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1, 2)
+    rng = grid.sensor_range
+    span = 2 * rng + 1
+    h, w = min(span, grid.rows), min(span, grid.cols)
+    # Window corners, clipped onto the grid; a window still holds the on-grid part of its ball.
+    corner = np.clip(cells - rng, 0, [grid.rows - h, grid.cols - w])
+    local = cells - corner
+    ii, jj = np.arange(h), np.arange(w)
+    e_h, e_w = (np.exp2(-np.abs(np.subtract.outer(x, x))) for x in (ii, jj))
+    obstacle = grid.obstacle_mask()
+    initial = float(max(grid.rows, grid.cols))
+    out = np.empty((len(cells), 2, span), dtype=np.int64)
+    batch = max(1, (1 << 15) // (h * w))  # cells per batch: about 2^15 window entries
+    for start in range(0, len(cells), batch):
+        k = slice(start, start + batch)
+        lr, lc = local[k, 0], local[k, 1]
+        ball = np.abs(ii[:, None] - lr[:, None, None]) + np.abs(jj - lc[:, None, None]) <= rng
+        blocked = obstacle[corner[k, :1, None] + ii[:, None], corner[k, 1:, None] + jj]
+        near = (ball & blocked).astype(float)
+        raw = 2.0 * initial * (e_h @ (near.reshape(-1, w) @ e_w).reshape(near.shape))
+        code = _normalize(raw, ball & ~blocked, grid.qubits_per_cell)
+        n = np.arange(len(code))
+        # Read the span centred on the cell; positions past the window are off the grid.
+        for axis, line, pos in ((0, code[n, lr], lc), (1, code[n, :, lc], lr)):
+            j = pos[:, None] + np.arange(-rng, rng + 1)
+            inside = (j >= 0) & (j < line.shape[1])
+            out[k, axis] = np.where(inside, line[n[:, None], j.clip(0, line.shape[1] - 1)], -1)
+    return out
 
 
 def encode_strings(costmap: Costmap, row: int, col: int) -> tuple[str, str]:

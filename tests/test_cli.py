@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridloc
 from gridloc import classical, grover2d, statevec
 from gridloc.cli import main
 
@@ -247,3 +251,27 @@ def test_compare_command(robot_map, tmp_path):
 
 def test_compare_needs_robot(bench_map):
     assert main(["compare", "--map", bench_map]) == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(robot_map, capsys):
+    # main() reuses one parser per process; each call, an argparse error
+    # included, must print what a fresh `python -m gridloc.cli` prints.
+    grover = ["grover", "--map", robot_map, "--shots", "512", "--seed", "3"]
+    runs = [
+        grover,
+        ["mcl", "--map", robot_map, "--particles", "60", "--seed", "5"],
+        ["grover", "--map", robot_map, "--shots", "many"],
+        grover,
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(gridloc.__file__).resolve().parent.parent)}
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gridloc.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 0 and out

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
@@ -24,6 +25,7 @@ from gridloc import (
     perceive_at,
     to_text,
 )
+from gridloc.gridmap import _influence
 
 
 def oracle_costmap(grid: GridMap):
@@ -51,6 +53,48 @@ def oracle_costmap(grid: GridMap):
     return raw, code
 
 
+def reference_perceive_at(grid: GridMap, cell) -> Perception:
+    """The per-cell perception rule: a whole-grid field of the in-range
+    obstacles, normalized over the sensing ball. The vectorized table is
+    checked against it."""
+    if not grid.in_bounds(cell):
+        raise ValueError(f"cell {cell} outside grid")
+    if cell in grid.obstacles:
+        raise ValueError(f"cannot perceive from obstacle cell {cell}")
+
+    rng = grid.sensor_range
+    rr, rc = cell
+    rrows = np.arange(grid.rows)[:, None]
+    ccols = np.arange(grid.cols)[None, :]
+    ball = (np.abs(rrows - rr) + np.abs(ccols - rc)) <= rng
+
+    near = [o for o in grid.obstacles if abs(o[0] - rr) + abs(o[1] - rc) <= rng]
+    initial = float(max(grid.rows, grid.cols))
+    raw = _influence(grid.rows, grid.cols, near, initial)
+
+    free_mask = ball.copy()
+    for o in near:
+        free_mask[o] = False
+    top = (1 << grid.qubits_per_cell) - 1
+    code = np.zeros(raw.shape, dtype=np.int64)
+    lo = raw[free_mask].min()
+    hi = raw[free_mask].max()
+    if hi > lo:
+        factor = (hi - lo) / top
+        scaled = np.floor((raw - lo) / factor + 0.5).astype(np.int64)
+        code = np.clip(scaled, 0, top)
+    code[~free_mask] = top
+
+    c_lo, c_hi = max(0, rc - rng), min(grid.cols - 1, rc + rng)
+    r_lo, r_hi = max(0, rr - rng), min(grid.rows - 1, rr + rng)
+    return Perception(
+        row_pattern=tuple(int(code[rr, c]) for c in range(c_lo, c_hi + 1)),
+        col_pattern=tuple(int(code[r, rc]) for r in range(r_lo, r_hi + 1)),
+        anchor_offset_row=rc - c_lo,
+        anchor_offset_col=rr - r_lo,
+    )
+
+
 def random_grid(rng: random.Random, max_side: int = 5, with_robot: bool = False) -> GridMap:
     rows = rng.randint(1, max_side)
     cols = rng.randint(1, max_side)
@@ -76,9 +120,9 @@ def random_grid(rng: random.Random, max_side: int = 5, with_robot: bool = False)
 
 
 @st.composite
-def grids(draw) -> GridMap:
-    """Sides 1-12, any obstacle set, an optional robot on a free cell, q 1-5, range 1-4."""
-    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def grids(draw, max_side: int = 12) -> GridMap:
+    """Sides 1-max_side, any obstacle set, an optional robot on a free cell, q 1-5, range 1-4."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     obstacles = draw(st.sets(st.sampled_from(cells)))
     free = [cell for cell in cells if cell not in obstacles]
@@ -343,6 +387,26 @@ def test_perception_codes_fit_in_q_bits(grid):
     for cell in grid.free_cells():
         per = perceive_at(grid, cell)
         assert all(0 <= v <= top for v in per.row_pattern + per.col_pattern)
+
+
+@st.composite
+def sensing_grids(draw) -> GridMap:
+    """Sides 1-14, q 1-5, range 1-6 or rows + cols (the whole map)."""
+    grid = draw(grids(max_side=14))
+    full = grid.rows + grid.cols
+    return dataclasses.replace(grid, sensor_range=draw(st.one_of(st.integers(1, 6), st.just(full))))
+
+
+# No shrink phase: shrinking a failing map of up to 196 cells stalls for
+# minutes, while the unshrunk example already names the map and the cell.
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(grid=sensing_grids())
+def test_perceive_at_matches_reference_on_every_free_cell(grid):
+    for cell in grid.free_cells():
+        assert perceive_at(grid, cell) == reference_perceive_at(grid, cell), cell
+    for cell in [*grid.obstacles, (-1, 0), (0, grid.cols), (grid.rows, 0)]:
+        with pytest.raises(ValueError):
+            perceive_at(grid, cell)
 
 
 def test_perception_validation():
