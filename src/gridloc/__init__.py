@@ -35,7 +35,6 @@ from .gridmap import (
     Perception,
     compute_costmap,
     costmap_csv,
-    encode_strings,
     indicator_costmap,
     parse_map,
     perceive,
@@ -104,7 +103,6 @@ __all__ = [
     "classical_matches",
     "compute_costmap",
     "costmap_csv",
-    "encode_strings",
     "estimate",
     "ideal_success_probability",
     "indicator_costmap",

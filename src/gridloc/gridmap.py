@@ -21,10 +21,6 @@ FREE_CHAR = "."
 OBSTACLE_CHAR = "#"
 ROBOT_CHAR = "R"
 
-# Single-character cell codes, enough for up to 5 bits per cell.
-CODE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
 class MapFormatError(ValueError):
     """Raised for malformed map text or inconsistent map contents."""
 
@@ -222,21 +218,19 @@ def to_text(grid: GridMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _influence(rows: int, cols: int, obstacles, initial: float) -> np.ndarray:
-    """Summed obstacle influence over the whole grid.
+def _field(mask: np.ndarray, initial: float) -> np.ndarray:
+    """Summed obstacle influence of n obstacle masks, shape (n, h, w).
 
-    Each obstacle contributes initial / 2**(d-1) to every cell at Manhattan
-    distance d >= 1. An obstacle never contributes to its own cell.
+    Each obstacle adds initial·2^(1−d) to every cell at Manhattan distance
+    d >= 1 and nothing to its own cell. That law is separable,
+    2^(1−d) = 2·2^(−|dr|)·2^(−|dc|), so the sum over a mask W is
+    2·initial·(E_h @ W @ E_w − W) with E[i, j] = 2^(−|i−j|); the − W takes
+    out each obstacle's own-cell term.
     """
-    raw = np.zeros((rows, cols), dtype=float)
-    rr = np.arange(rows)[:, None]
-    cc = np.arange(cols)[None, :]
-    for (orow, ocol) in obstacles:
-        d = np.abs(rr - orow) + np.abs(cc - ocol)
-        contrib = initial * np.exp2(1.0 - d)
-        contrib[orow, ocol] = 0.0
-        raw += contrib
-    return raw
+    weight = mask.astype(float)
+    h, w = weight.shape[1:]
+    e_h, e_w = (np.exp2(-np.abs(np.subtract.outer(x, x))) for x in (np.arange(h), np.arange(w)))
+    return 2.0 * initial * (e_h @ (weight.reshape(-1, w) @ e_w).reshape(weight.shape) - weight)
 
 
 def _normalize(raw: np.ndarray, free_mask: np.ndarray, qubits_per_cell: int) -> np.ndarray:
@@ -260,10 +254,10 @@ def compute_costmap(grid: GridMap) -> Costmap:
     The influence seed value is the larger grid side, so bigger grids
     radiate proportionally stronger fields before normalization.
     """
-    initial = float(max(grid.rows, grid.cols))
-    raw = _influence(grid.rows, grid.cols, grid.obstacles, initial)
-    code = _normalize(raw[None], ~grid.obstacle_mask()[None], grid.qubits_per_cell)[0]
-    return Costmap(raw=raw, code=code)
+    obstacle = grid.obstacle_mask()[None]
+    raw = _field(obstacle, float(max(grid.rows, grid.cols)))
+    code = _normalize(raw, ~obstacle, grid.qubits_per_cell)
+    return Costmap(raw=raw[0], code=code[0])
 
 
 def indicator_costmap(grid: GridMap) -> Costmap:
@@ -301,13 +295,12 @@ def perception_codes(grid: GridMap, cells) -> np.ndarray:
     c - range .. c + range and ``[k, 1]`` those of column c over rows
     r - range .. r + range; -1 marks positions off the grid. A cell senses
     only the obstacles within range and normalizes over its sensing ball
-    alone, so edits beyond the range never leak in. Its field lives on a
+    alone, so edits beyond the range never leak in. Its field is the
+    costmap's influence field (``_field``) of the obstacles in the ball, on a
     window of at most 2*range + 1 rows and columns that holds the ball. The
-    influence is separable, so that field is 2·initial·(E_h @ W @ E_w), with
-    W the obstacles in the ball and E[i, j] = 2^(−|i−j|); obstacle cells get
-    their own term too, but take the top code regardless. The terms are
-    dyadic, so the sums are exact in any order while max(rows, cols)·n·2^(D+1)
-    < 2^53, with n the obstacles in a ball and D = min(2·range, rows + cols − 2).
+    terms are dyadic, so the sums are exact in any order while
+    max(rows, cols)·n·2^(D+1) < 2^53, with n the obstacles in a ball and
+    D = min(2·range, rows + cols − 2).
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 2)
     rng = grid.sensor_range
@@ -317,7 +310,6 @@ def perception_codes(grid: GridMap, cells) -> np.ndarray:
     corner = np.clip(cells - rng, 0, [grid.rows - h, grid.cols - w])
     local = cells - corner
     ii, jj = np.arange(h), np.arange(w)
-    e_h, e_w = (np.exp2(-np.abs(np.subtract.outer(x, x))) for x in (ii, jj))
     obstacle = grid.obstacle_mask()
     initial = float(max(grid.rows, grid.cols))
     out = np.empty((len(cells), 2, span), dtype=np.int64)
@@ -327,8 +319,7 @@ def perception_codes(grid: GridMap, cells) -> np.ndarray:
         lr, lc = local[k, 0], local[k, 1]
         ball = np.abs(ii[:, None] - lr[:, None, None]) + np.abs(jj - lc[:, None, None]) <= rng
         blocked = obstacle[corner[k, :1, None] + ii[:, None], corner[k, 1:, None] + jj]
-        near = (ball & blocked).astype(float)
-        raw = 2.0 * initial * (e_h @ (near.reshape(-1, w) @ e_w).reshape(near.shape))
+        raw = _field(ball & blocked, initial)
         code = _normalize(raw, ball & ~blocked, grid.qubits_per_cell)
         n = np.arange(len(code))
         # Read the span centred on the cell; positions past the window are off the grid.
@@ -337,20 +328,6 @@ def perception_codes(grid: GridMap, cells) -> np.ndarray:
             inside = (j >= 0) & (j < line.shape[1])
             out[k, axis] = np.where(inside, line[n[:, None], j.clip(0, line.shape[1] - 1)], -1)
     return out
-
-
-def encode_strings(costmap: Costmap, row: int, col: int) -> tuple[str, str]:
-    """Code strings of one full row and one full column, one char per cell."""
-    if not 0 <= row < costmap.rows:
-        raise IndexError(f"row {row} outside costmap")
-    if not 0 <= col < costmap.cols:
-        raise IndexError(f"col {col} outside costmap")
-    top = int(costmap.code.max(initial=0))
-    if top >= len(CODE_DIGITS):
-        raise ValueError(f"cell code {top} has no single-character form")
-    row_str = "".join(CODE_DIGITS[int(v)] for v in costmap.code[row, :])
-    col_str = "".join(CODE_DIGITS[int(v)] for v in costmap.code[:, col])
-    return row_str, col_str
 
 
 def costmap_csv(costmap: Costmap) -> str:

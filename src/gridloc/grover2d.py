@@ -518,9 +518,9 @@ def run_localization(
     A map with a robot is searched for the robot's perception in its own
     costmap. A map without one gets the benchmark reading: the single code
     1 searched in the obstacle indicator, which marks the obstacles. The
-    width guard runs on the plan before any costmap is built. Folded mode
-    sizes the repetitions with the exact solution count; faithful mode
-    assumes a single solution. The modal outcome among valid anchor values
+    width guard runs on the plan before any costmap is built. Both modes
+    size the repetitions and the ideal success probability with the exact
+    solution count (at least 1). The modal outcome among valid anchor values
     decodes to a cell, ties going to the lowest anchor index.
     """
     perception = SINGLE_CELL if grid.robot is None else perceive(grid)
@@ -533,8 +533,7 @@ def run_localization(
 
     costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
     spec = oracle_spec(the_plan, costmap, perception)
-    if mode == "folded":
-        the_plan = plan(grid, perception, mode, solutions=max(1, len(spec.solutions)))
+    the_plan = plan(grid, perception, mode, solutions=max(1, len(spec.solutions)))
     if repetitions is not None:
         the_plan = replace(the_plan, repetitions=int(repetitions))
     circuit = build_circuit(the_plan, spec)

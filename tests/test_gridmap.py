@@ -10,7 +10,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
-    Costmap,
     DuplicateRobotError,
     GridMap,
     MapFormatError,
@@ -18,14 +17,30 @@ from gridloc import (
     Perception,
     compute_costmap,
     costmap_csv,
-    encode_strings,
     indicator_costmap,
     parse_map,
     perceive,
     perceive_at,
     to_text,
 )
-from gridloc.gridmap import _influence
+from gridloc.gridmap import _normalize
+
+
+def reference_influence(rows: int, cols: int, obstacles, initial: float) -> np.ndarray:
+    """Summed obstacle influence over the whole grid, one obstacle at a time.
+
+    Each obstacle contributes initial / 2**(d-1) to every cell at Manhattan
+    distance d >= 1. An obstacle never contributes to its own cell.
+    """
+    raw = np.zeros((rows, cols), dtype=float)
+    rr = np.arange(rows)[:, None]
+    cc = np.arange(cols)[None, :]
+    for (orow, ocol) in obstacles:
+        d = np.abs(rr - orow) + np.abs(cc - ocol)
+        contrib = initial * np.exp2(1.0 - d)
+        contrib[orow, ocol] = 0.0
+        raw += contrib
+    return raw
 
 
 def oracle_costmap(grid: GridMap):
@@ -70,7 +85,7 @@ def reference_perceive_at(grid: GridMap, cell) -> Perception:
 
     near = [o for o in grid.obstacles if abs(o[0] - rr) + abs(o[1] - rc) <= rng]
     initial = float(max(grid.rows, grid.cols))
-    raw = _influence(grid.rows, grid.cols, near, initial)
+    raw = reference_influence(grid.rows, grid.cols, near, initial)
 
     free_mask = ball.copy()
     for o in near:
@@ -227,6 +242,37 @@ def test_costmap_matches_loop_oracle():
         raw, code = oracle_costmap(grid)
         assert np.allclose(cm.raw, np.array(raw))
         assert cm.code.tolist() == code
+
+
+@st.composite
+def costmap_grids(draw) -> GridMap:
+    """Sides 1-48, q 1-5, each cell an obstacle with probability 0-15%."""
+    rows, cols = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    share = draw(st.floats(0.0, 0.15))
+    blocked = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, cols)) < share
+    return GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(map(tuple, np.argwhere(blocked).tolist())),
+        qubits_per_cell=draw(st.integers(1, 5)),
+    )
+
+
+# No shrink phase: shrinking a failing map of up to 2304 cells stalls for
+# minutes, while the unshrunk example already names the map.
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(grid=costmap_grids())
+def test_costmap_matches_reference_influence(grid):
+    # The separable product rounds differently from the per-obstacle sum, and
+    # on obstacle cells taking out the own-cell term cancels digits, so raw is
+    # compared within 1e-12 of initial there; the codes must agree exactly.
+    initial = float(max(grid.rows, grid.cols))
+    raw = reference_influence(grid.rows, grid.cols, grid.obstacles, initial)
+    free = ~grid.obstacle_mask()
+    cm = compute_costmap(grid)
+    assert np.array_equal(cm.code, _normalize(raw[None], free[None], grid.qubits_per_cell)[0])
+    assert np.all(np.abs(cm.raw - raw)[free] <= 1e-12 * raw[free])
+    assert np.all(np.abs(cm.raw - raw) <= 1e-12 * initial)
 
 
 def test_costmap_monotone_under_added_obstacle():
@@ -416,23 +462,7 @@ def test_perception_validation():
         Perception(row_pattern=(1,), col_pattern=(1,), anchor_offset_row=1, anchor_offset_col=0)
 
 
-# ---------------------------------------------------------------- encodings
-
-
-def test_encode_strings_single_cell():
-    code = np.zeros((1, 1), dtype=np.int64)
-    cm = Costmap(raw=code.astype(float), code=code)
-    assert encode_strings(cm, 0, 0) == ("0", "0")
-
-
-def test_encode_strings_lengths_and_content():
-    code = np.array([[0, 1, 2], [3, 2, 1]], dtype=np.int64)
-    cm = Costmap(raw=code.astype(float), code=code)
-    row_str, col_str = encode_strings(cm, 1, 2)
-    assert row_str == "321"
-    assert col_str == "21"
-    with pytest.raises(IndexError):
-        encode_strings(cm, 2, 0)
+# ---------------------------------------------------------------- csv
 
 
 def test_costmap_csv_format():

@@ -328,6 +328,26 @@ def test_success_probability_law(n):
     assert abs(freq - p_ideal) <= 3 * sigma + 1e-9
 
 
+@pytest.mark.parametrize("n_marked", [2, 3])
+def test_faithful_plans_with_the_solution_count(n_marked):
+    # 3x3 robot-less maps with M = 2 or 3 obstacles on the diagonal: both
+    # modes size R and the success probability for M marked anchors.
+    g = GridMap(rows=3, cols=3, obstacles=frozenset((i, i) for i in range(n_marked)))
+    shots = 8192
+    folded = run_localization(g, mode="folded", shots=shots, seed=1)
+    faithful = run_localization(g, mode="faithful", shots=shots, seed=1)
+    assert faithful.plan.n_solutions == folded.plan.n_solutions == n_marked
+    assert faithful.plan.repetitions == folded.plan.repetitions
+    assert faithful.ideal_success_probability == folded.ideal_success_probability
+    assert faithful.budget == folded.budget
+    p = faithful.ideal_success_probability
+    for rep in (folded, faithful):
+        s = rep.plan.search_qubits
+        marked = {format(rep.plan.anchor_index(cell), f"0{s}b") for cell in g.obstacles}
+        share = sum(rep.histogram.counts.get(key, 0) for key in marked) / shots
+        assert abs(share - p) <= 5 * math.sqrt(p * (1 - p) / shots), (rep.plan.mode, share, p)
+
+
 # ---------------------------------------------------------------- budgets
 
 
