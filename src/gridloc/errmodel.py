@@ -9,6 +9,7 @@ but give the right scale for deciding whether a run is worth submitting.
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -88,7 +89,13 @@ def estimate(
 
 
 def load_presets() -> dict[str, NoiseModel]:
-    """Error rates of the device presets shipped with the package."""
+    """Error rates of the device presets shipped with the package, as a fresh dict."""
+    return dict(_parse_presets())
+
+
+# devices.cfg ships with the package, so it is parsed once per process.
+@functools.cache
+def _parse_presets() -> dict[str, NoiseModel]:
     text = resources.files(__package__).joinpath("devices.cfg").read_text()
     parser = configparser.ConfigParser()
     parser.read_string(text)

@@ -232,7 +232,7 @@ def oracle_spec(the_plan: GroverPlan, costmap: Costmap, perception: Perception) 
     cells = sorted(classical_matches(costmap, perception))
     return OracleSpec(
         solutions=tuple(the_plan.anchor_index(cell) for cell in cells),
-        map_codes=tuple(tuple(int(v) for v in row) for row in costmap.code),
+        map_codes=tuple(map(tuple, costmap.code.tolist())),
         row_pattern=perception.row_pattern,
         col_pattern=perception.col_pattern,
     )
@@ -466,18 +466,37 @@ def budget(the_plan: GroverPlan) -> Budget:
     return Budget(elements=elements, depth=depth)
 
 
-def ideal_success_probability(the_plan: GroverPlan) -> float:
-    """Closed-form chance of measuring a marked anchor.
+def _rotation(the_plan: GroverPlan, marked: int) -> float:
+    """(2R+1)θ with sin²θ = marked / 2**search_qubits: the angle R rounds reach.
 
     The amplified space spans all 2**search_qubits basis states, so the
     mark fraction uses that power of two, not the raw anchor count.
     """
-    m = the_plan.n_solutions
-    if m < 1:
-        return 0.0
-    span = 1 << the_plan.search_qubits
-    theta = math.asin(math.sqrt(m / span))
-    return math.sin((2 * the_plan.repetitions + 1) * theta) ** 2
+    theta = math.asin(math.sqrt(marked / (1 << the_plan.search_qubits)))
+    return (2 * the_plan.repetitions + 1) * theta
+
+
+def ideal_success_probability(the_plan: GroverPlan) -> float:
+    """Closed-form chance of measuring a marked anchor."""
+    return math.sin(_rotation(the_plan, the_plan.n_solutions)) ** 2
+
+
+def closed_form_state(the_plan: GroverPlan, solutions) -> statevec.StateVector:
+    """The noiseless folded state after the plan's repetitions, built without gates.
+
+    Each of the M marked anchors holds sin((2R+1)θ)/√M, every other state of
+    the 2**s span cos((2R+1)θ)/√(2**s - M) (Boyer, Brassard, Høyer, Tapp
+    1998): the folded circuit's state up to a global sign. A negative R runs
+    no rounds, as in the circuit, which leaves the uniform state.
+    """
+    if the_plan.repetitions < 0:
+        the_plan = replace(the_plan, repetitions=0)
+    span, m = 1 << the_plan.search_qubits, len(solutions)
+    angle = _rotation(the_plan, m)
+    amps = np.full(span, math.cos(angle) / math.sqrt(span - m) if m < span else 0.0)
+    if m:
+        amps[list(solutions)] = math.sin(angle) / math.sqrt(m)
+    return statevec.from_amplitudes(amps)
 
 
 @dataclass(frozen=True)
@@ -520,8 +539,10 @@ def run_localization(
     1 searched in the obstacle indicator, which marks the obstacles. The
     width guard runs on the plan before any costmap is built. Both modes
     size the repetitions and the ideal success probability with the exact
-    solution count (at least 1). The modal outcome among valid anchor values
-    decodes to a cell, ties going to the lowest anchor index.
+    solution count (at least 1). A folded run without gate noise samples the
+    closed-form state; every other run simulates its circuit. The modal
+    outcome among valid anchor values decodes to a cell, ties going to the
+    lowest anchor index.
     """
     perception = SINGLE_CELL if grid.robot is None else perceive(grid)
     the_plan = plan(grid, perception, mode)
@@ -536,9 +557,12 @@ def run_localization(
     the_plan = plan(grid, perception, mode, solutions=max(1, len(spec.solutions)))
     if repetitions is not None:
         the_plan = replace(the_plan, repetitions=int(repetitions))
-    circuit = build_circuit(the_plan, spec)
-    state = statevec.init_state(the_plan.total_qubits, max_qubits)
-    state = statevec.run(state, circuit, noise=noise, seed=seed)
+    if the_plan.mode == "folded" and (noise is None or noise.p_gate == 0):
+        state = closed_form_state(the_plan, spec.solutions)
+    else:
+        circuit = build_circuit(the_plan, spec)
+        state = statevec.init_state(the_plan.total_qubits, max_qubits)
+        state = statevec.run(state, circuit, noise=noise, seed=seed)
     hist = statevec.sample(
         state, range(the_plan.search_qubits), shots, noise=noise, seed=seed + 1
     )

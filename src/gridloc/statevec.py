@@ -165,7 +165,7 @@ class StateVector:
     __slots__ = ("width", "noise_events", "_active", "_order", "_pos", "_frame", "_dense")
 
     def _set(self, width, active, order, frame, noise_events) -> None:
-        """Bind every field; ``init_state`` and ``copy`` build states with ``__new__`` and this."""
+        """Bind every field of a state built with ``__new__`` (``init_state``, ``from_amplitudes``, ``copy``)."""
         self.width = width
         self.noise_events = noise_events
         self._active = active
@@ -268,6 +268,18 @@ def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     active[0] = 1.0
     state = StateVector.__new__(StateVector)
     state._set(width, active, [], 0, 0)
+    return state
+
+
+def from_amplitudes(values) -> StateVector:
+    """A state with every qubit active, holding 2**width amplitudes in qubit order."""
+    width = len(values).bit_length() - 1
+    if width < 1 or len(values) != 1 << width:
+        raise ValueError(f"{len(values)} amplitudes is not 2**width for a width >= 1")
+    amps = _zeros(len(values))
+    amps[:] = values
+    state = StateVector.__new__(StateVector)
+    state._set(width, amps, list(range(width)), 0, 0)
     return state
 
 
@@ -390,5 +402,6 @@ def sample(
         outcomes = (bits << bit_pos).sum(axis=1)
 
     values, freq = np.unique(outcomes, return_counts=True)
-    counts = {format(int(v), f"0{k}b"): int(n) for v, n in zip(values, freq)}
+    key = f"0{k}b"
+    counts = {format(v, key): n for v, n in zip(values.tolist(), freq.tolist())}
     return Histogram(counts=counts, shots=shots, bits=k)

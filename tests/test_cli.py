@@ -161,6 +161,53 @@ def test_memory_error_exits_3(robot_map, tmp_path, monkeypatch, capsys, module, 
     assert not out.exists()
 
 
+class SimulatorReached(Exception):
+    """Raised by a patched-out circuit builder or simulator."""
+
+
+def _patch_out(monkeypatch, targets):
+    def reached(*args, **kwargs):
+        raise SimulatorReached
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, reached)
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "0,0.05"]], ids=["noiseless", "readout-noise"])
+def test_noiseless_folded_runs_build_and_simulate_no_circuit(
+    bench_map, robot_map, tmp_path, monkeypatch, noise
+):
+    _patch_out(monkeypatch, [(grover2d, "build_circuit"), (statevec, "run")])
+    for path in (bench_map, robot_map):
+        out = tmp_path / "g.json"
+        hist = tmp_path / "h.csv"
+        assert main(["grover", "--map", path, "--out", str(out), "--hist", str(hist), *noise]) == 0
+        assert json.loads(out.read_text())["decoded"] is not None
+
+
+@pytest.mark.parametrize(
+    "target", [(grover2d, "build_circuit"), (statevec, "run")], ids=["build_circuit", "run"]
+)
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--noise", "0.01,0"],
+        ["--mode", "faithful"],
+        ["--mode", "faithful", "--noise", "0,0.05"],
+        ["--mode", "faithful", "--noise", "0.01,0"],
+        ["--mode", "faithful", "--noise", "ibm-kyiv-2024"],
+    ],
+    ids=["folded-gate-noise", "faithful", "faithful-readout", "faithful-gate", "faithful-preset"],
+)
+def test_gate_noise_and_faithful_runs_simulate_their_circuit(
+    bench_map, robot_map, monkeypatch, target, extra
+):
+    _patch_out(monkeypatch, [target])
+    for path in (bench_map, robot_map):
+        with pytest.raises(SimulatorReached):
+            main(["grover", "--map", path, "--max-qubits", "46", *extra])
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_mcl_max_iters_below_one_is_input_error(robot_map, value, capsys):
     assert main(["mcl", "--map", robot_map, "--max-iters", value]) == 2
@@ -262,6 +309,9 @@ def test_repeated_main_calls_match_fresh_processes(robot_map, capsys):
         ["mcl", "--map", robot_map, "--particles", "60", "--seed", "5"],
         ["grover", "--map", robot_map, "--shots", "many"],
         grover,
+        # The presets are parsed once per process; later ops read the cached parse.
+        [*grover, "--noise", "ibm-kyiv-2024"],
+        [*grover, "--noise", "ibm-kyiv-2024", "--mode", "faithful", "--max-qubits", "46"],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(gridloc.__file__).resolve().parent.parent)}
     for argv in runs:

@@ -80,3 +80,14 @@ def test_presets_carry_published_rates():
     assert presets["ibm-kyiv-2024"].p_gate == pytest.approx(3.81e-3)
     for preset in presets.values():
         assert 0.0 <= preset.p_meas <= 1.0
+
+
+def test_presets_are_a_fresh_dict_per_call():
+    first = load_presets()
+    first["ibm-kyiv-2024"] = NoiseModel(p_gate=0.5, p_meas=0.5)
+    first.pop("ibm-brisbane-2024")
+    first["made-up"] = NoiseModel()
+    second = load_presets()
+    assert second is not first
+    assert second["ibm-kyiv-2024"].p_gate == pytest.approx(3.81e-3)
+    assert "ibm-brisbane-2024" in second and "made-up" not in second

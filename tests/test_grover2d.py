@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
@@ -30,8 +30,18 @@ from gridloc import (
     synth_diffusion,
     synth_oracle,
 )
-from gridloc.grover2d import _faithful_oracle_ops, _prep_ops
-from gridloc.statevec import Circuit, WidthTooLargeError, h, init_state, mcx, run
+from gridloc.grover2d import _faithful_oracle_ops, _prep_ops, closed_form_state
+from gridloc.statevec import (
+    Circuit,
+    NoiseModel,
+    WidthTooLargeError,
+    _marginal,
+    h,
+    init_state,
+    mcx,
+    run,
+    sample,
+)
 
 def matcher_oracle(costmap: Costmap, per: Perception) -> set:
     """Independent double-loop matcher for cross-checking classical_matches."""
@@ -554,3 +564,82 @@ def test_run_localization_faithful_small_case():
     rep = run_localization(g, mode="faithful", shots=1500, seed=2)
     assert rep.decoded == (1, 2)
     assert rep.plan.total_qubits == 13
+
+
+# ------------------------------------------------- closed form vs gate path
+
+
+def gate_path(grid, repetitions):
+    """Folded plan, spec and simulated state, built the way the gate path runs them."""
+    perception = SINGLE_CELL if grid.robot is None else perceive(grid)
+    costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
+    spec = oracle_spec(plan(grid, perception), costmap, perception)
+    p = plan(grid, perception, solutions=max(1, len(spec.solutions)))
+    if repetitions is not None:
+        p = replace(p, repetitions=repetitions)
+    return p, spec, run(init_state(p.total_qubits), build_circuit(p, spec))
+
+
+def check_closed_form(grid, repetitions, shots, p_meas, seed):
+    """Closed-form marginal within 1e-12 of the simulated one; same plan and histogram."""
+    p, spec, simulated = gate_path(grid, repetitions)
+    measured = list(range(p.search_qubits - 1, -1, -1))
+    closed = _marginal(closed_form_state(p, spec.solutions), measured)
+    assert np.max(np.abs(closed - _marginal(simulated, measured))) <= 1e-12
+    noise = None if p_meas == 0 else NoiseModel(p_meas=p_meas)
+    report = run_localization(grid, shots=shots, noise=noise, seed=seed, repetitions=repetitions)
+    assert report.plan == p
+    assert report.histogram == sample(
+        simulated, range(p.search_qubits), shots, noise=noise, seed=seed + 1
+    )
+
+
+@st.composite
+def folded_grids(draw) -> GridMap:
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    obstacles = draw(st.sets(st.sampled_from(cells)))
+    free = [cell for cell in cells if cell not in obstacles]
+    robot = draw(st.one_of(st.none(), st.sampled_from(free))) if free else None
+    return GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(obstacles),
+        robot=robot,
+        qubits_per_cell=draw(st.integers(1, 3)),
+        sensor_range=draw(st.integers(1, 3)),
+    )
+
+
+# No shrink phase: shrinking a failing case stalls for minutes, while the
+# unshrunk example already shows the map and the first difference.
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    grid=folded_grids(),
+    repetitions=st.one_of(st.none(), st.integers(-2, 4)),
+    shots=st.integers(1, 5000),
+    p_meas=st.sampled_from([0.0, 0.2]),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_form_matches_gate_path(grid, repetitions, shots, p_meas, seed):
+    check_closed_form(grid, repetitions, shots, p_meas, seed)
+
+
+@pytest.mark.parametrize(
+    "grid, marked",
+    [
+        (GridMap(rows=3, cols=3), 0),
+        (parse_map((MAPS / "unique_4x5.map").read_text()), 0),
+        (GridMap(rows=2, cols=2, obstacles=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})), 4),
+        (GridMap(rows=1, cols=4, obstacles=frozenset({(0, 2)})), 1),
+        (GridMap(rows=3, cols=5, obstacles=frozenset({(0, 1), (2, 4), (1, 3)})), 3),
+    ],
+    ids=["no-marks", "robot-no-marks", "all-marked", "one-of-four", "three-of-fifteen"],
+)
+@pytest.mark.parametrize("repetitions", [None, -2, 0, 1, 3])
+@pytest.mark.parametrize("p_meas", [0.0, 0.2])
+def test_closed_form_edge_cases(grid, marked, repetitions, p_meas):
+    # M = 0 and R <= 0 leave the uniform state; M = 2**s has no unmarked state.
+    p, spec, _ = gate_path(grid, repetitions)
+    assert len(spec.solutions) == marked
+    check_closed_form(grid, repetitions, 3000, p_meas, 11)

@@ -13,6 +13,7 @@ from gridloc.statevec import (
     NoiseModel,
     WidthTooLargeError,
     apply,
+    from_amplitudes,
     h,
     init_state,
     mcx,
@@ -191,6 +192,27 @@ def test_init_state_maps_memory_error(monkeypatch):
     with pytest.raises(WidthTooLargeError) as err:
         init_state(3)
     assert isinstance(err.value.__cause__, MemoryError)
+
+
+def test_from_amplitudes():
+    values = np.array([0.5, -0.5j, 0.0, 0.5 + 0.5j])
+    state = from_amplitudes(values)
+    assert state.width == 2
+    np.testing.assert_array_equal(state.amps, values)
+    values[0] = 1.0  # the state holds its own copy
+    assert state.amps[0] == 0.5
+    for length in (0, 1, 3, 6, 12):
+        with pytest.raises(ValueError):
+            from_amplitudes(np.ones(length))
+
+
+def test_from_amplitudes_maps_memory_error(monkeypatch):
+    values = np.ones(8)
+    monkeypatch.setattr(np, "zeros", _refuse_allocation)
+    with pytest.raises(WidthTooLargeError) as err:
+        from_amplitudes(values)
+    assert isinstance(err.value.__cause__, MemoryError)
+
 
 def test_h_on_zero():
     s = apply(init_state(1), h(0))
