@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import classical, errmodel, grover2d, gridmap, statevec
 
@@ -46,7 +47,36 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Any indent sends json to its pure-Python encoder, one generator per
+    nesting level and key. Here a dict that holds no container (a histogram,
+    a budget) goes to json's C encoder, with the indent folded into the item
+    separator. Lists, other str-keyed dicts, str and int are joined in
+    Python. Every other value is left to json.dumps.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if (kind is list or kind is tuple) and obj:
+        items = [_json_value(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and obj:
+        if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj.values()))):
+            text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+            return "{" + inner + text[1:-1] + newline + "}"
+        if all(type(key) is str for key in obj):
+            items = [_quote(key) + ": " + _json_value(value, inner) for key, value in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # json's escapes keep newlines out of strings, so every "\n" is indentation.
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _parse_noise(spec: str | None) -> statevec.NoiseModel | None:

@@ -279,40 +279,29 @@ def _anchor_pairs(the_plan: GroverPlan, anchor: Cell) -> list[tuple[int, int]]:
     return pairs
 
 
-def _restore_ops(pairs: list[tuple[int, int]]) -> list[GateOp]:
-    """Undo an anchor's comparator bits, leaving the pattern register clean."""
-    ops: list[GateOp] = []
-    for mq, pq in pairs:
-        ops.append(x(pq))
-        ops.append(mcx([(mq, 1)], pq))
-    return ops
+def _comparator_moves(
+    prev: list[tuple[int, int]] | None, pairs: list[tuple[int, int]]
+) -> list[tuple[int | None, int]]:
+    """An anchor's comparator writes in circuit order.
 
-
-def _anchor_ops(
-    the_plan: GroverPlan,
-    index: int,
-    prev: list[tuple[int, int]] | None,
-    pairs: list[tuple[int, int]],
-) -> list[GateOp]:
-    """Comparator writes for one anchor, then its wide kickback MCX.
-
-    The first anchor writes XNOR comparators onto the pattern register in
-    place (CX from the covered map bit, then a flip); later anchors only
-    move each CX from the previous anchor's map bit to their own.
+    (mq, pq) is a CX from map qubit mq onto pattern qubit pq, (None, pq) an
+    X on pq. The first anchor writes XNOR comparators onto the pattern
+    register in place (CX from the covered map bit, then a flip); later
+    anchors move each CX from the previous anchor's map bit to their own
+    (two anchors never put one map bit at the same pattern position).
     """
-    ops: list[GateOp] = []
     if prev is None:
-        for mq, pq in pairs:
-            ops.append(mcx([(mq, 1)], pq))
-            ops.append(x(pq))
-    else:
-        for (old_mq, pq), (new_mq, _) in zip(prev, pairs):
-            if old_mq != new_mq:
-                ops.append(mcx([(old_mq, 1)], pq))
-                ops.append(mcx([(new_mq, 1)], pq))
-    controls = _search_controls(the_plan, index) + [(pq, 1) for _, pq in pairs]
-    ops.append(mcx(controls, the_plan.layout.output[0]))
-    return ops
+        return [move for mq, pq in pairs for move in ((mq, pq), (None, pq))]
+    return [move for (old, pq), (new, _) in zip(prev, pairs) for move in ((old, pq), (new, pq))]
+
+
+def _restore_moves(pairs: list[tuple[int, int]]) -> list[tuple[int | None, int]]:
+    """Undo an anchor's comparator bits, leaving the pattern register clean."""
+    return [move for mq, pq in pairs for move in ((None, pq), (mq, pq))]
+
+
+def _move_ops(moves: list[tuple[int | None, int]]) -> list[GateOp]:
+    return [x(pq) if mq is None else mcx([(mq, 1)], pq) for mq, pq in moves]
 
 
 def _faithful_oracle_ops(the_plan: GroverPlan) -> list[GateOp]:
@@ -328,10 +317,12 @@ def _faithful_oracle_ops(the_plan: GroverPlan) -> list[GateOp]:
     prev: list[tuple[int, int]] | None = None
     for index in range(the_plan.n_anchors):
         pairs = _anchor_pairs(the_plan, the_plan.anchor_cell(index))
-        ops.extend(_anchor_ops(the_plan, index, prev, pairs))
+        ops.extend(_move_ops(_comparator_moves(prev, pairs)))
+        controls = _search_controls(the_plan, index) + [(pq, 1) for _, pq in pairs]
+        ops.append(mcx(controls, the_plan.layout.output[0]))
         prev = pairs
     assert prev is not None
-    ops.extend(_restore_ops(prev))
+    ops.extend(_move_ops(_restore_moves(prev)))
     return ops
 
 
@@ -383,13 +374,12 @@ def _prep_ops(the_plan: GroverPlan, spec: OracleSpec | None) -> list[GateOp]:
 
 def build_circuit(the_plan: GroverPlan, spec: OracleSpec) -> Circuit:
     """Complete run: preparation then repeated oracle and diffusion."""
-    ops = _prep_ops(the_plan, spec)
-    oracle = synth_oracle(the_plan, spec).ops
-    diffusion = synth_diffusion(the_plan).ops
-    for _ in range(the_plan.repetitions):
-        ops.extend(oracle)
-        ops.extend(diffusion)
-    return Circuit(width=the_plan.total_qubits, ops=tuple(ops))
+    circuit = Circuit(width=the_plan.total_qubits, ops=tuple(_prep_ops(the_plan, spec)))
+    body = synth_oracle(the_plan, spec).ops + synth_diffusion(the_plan).ops
+    # Every part is a validated circuit of this width, so the R copies are
+    # joined without checking each op again.
+    object.__setattr__(circuit, "ops", circuit.ops + body * the_plan.repetitions)
+    return circuit
 
 
 def circuit_budget(circuit: Circuit) -> Budget:
@@ -409,19 +399,32 @@ def circuit_budget(circuit: Circuit) -> Budget:
     return Budget(elements=elements, depth=depth)
 
 
+def _moves_depth(moves: list[tuple[int | None, int]]) -> int:
+    """Latest end of comparator moves layered one element each from idle qubits."""
+    busy: dict[int, int] = {}
+    for mq, pq in moves:
+        mq = pq if mq is None else mq  # an X occupies only its pattern qubit
+        busy[mq] = busy[pq] = max(busy.get(mq, 0), busy.get(pq, 0)) + 1
+    return max(busy.values())
+
+
 def budget(the_plan: GroverPlan) -> Budget:
     """Hardware-cost estimate of the full register construction.
 
     Accounts the faithful circuit structure for the plan's geometry
     whatever the execution mode, leaving out the value-dependent register
     loading, so maps of equal shape cost the same however many obstacles
-    they hold.
+    they hold. Counted in closed form, with no gate built, it equals
+    circuit_budget over the whole faithful run.
 
-    The circuit is metered in closed form from five short segments. Each
-    anchor's wide MCX touches every search, pattern and output qubit, and
-    every op on a map qubit also touches a pattern qubit, so no qubit is
-    busy past the end of a wide MCX. A segment that ends in one therefore
-    adds the same elements and depth wherever it sits:
+    With s search qubits and P comparator pairs, each anchor writes 2P
+    moves and a wide MCX of weight W = 2(s + P) - 1, and each repetition
+    ends in a 2P-move restore and the diffusion. Each wide MCX touches
+    every search, pattern and output qubit, and every op on a map qubit
+    also touches a pattern qubit, so no qubit is busy past the end of a
+    wide MCX. A segment that ends in one therefore adds the same elements
+    and depth wherever it sits, its depth being the latest end of its
+    layered moves plus W:
 
     - head: preparation, then the first anchor's writes and MCX
     - step: an in-row comparator rewrite and MCX
@@ -432,37 +435,32 @@ def budget(the_plan: GroverPlan) -> Budget:
     and the whole run is head + R * (steps + wraps) + (R - 1) * boundary
     + tail.
     """
-    wide = the_plan if the_plan.mode == "faithful" else replace(
-        the_plan,
-        mode="faithful",
-        total_qubits=the_plan.layout.ancilla[0] + the_plan.layout.ancilla[1],
-    )
-    reps = wide.repetitions
-    prep = _prep_ops(wide, None)
+    s, reps = the_plan.search_qubits, the_plan.repetitions
     if reps < 1:
-        return circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(prep)))
+        return Budget(elements=s + 2, depth=2)
 
     def pairs(index: int) -> list[tuple[int, int]]:
-        return _anchor_pairs(wide, wide.anchor_cell(index))
+        return _anchor_pairs(the_plan, the_plan.anchor_cell(index))
 
+    def rewrite_depth(a: int, b: int) -> int:
+        return _moves_depth(_comparator_moves(pairs(a), pairs(b)))
+
+    n, rows, k = the_plan.n_anchors, the_plan.anchor_rows, the_plan.anchor_cols
     first = pairs(0)
-    opening = _anchor_ops(wide, 0, None, first)
-    closing = _restore_ops(pairs(wide.n_anchors - 1)) + list(synth_diffusion(wide).ops)
-    segments = [(1, prep + opening), (reps - 1, closing + opening), (1, closing)]
-    if wide.anchor_cols > 1:
-        steps = wide.n_anchors - wide.anchor_rows
-        segments.append((reps * steps, _anchor_ops(wide, 1, first, pairs(1))))
-    if wide.anchor_rows > 1:
-        k = wide.anchor_cols
-        segments.append(
-            (reps * (wide.anchor_rows - 1), _anchor_ops(wide, k, pairs(k - 1), pairs(k)))
-        )
-
-    elements = depth = 0
-    for count, ops in segments:
-        part = circuit_budget(Circuit(width=wide.total_qubits, ops=tuple(ops)))
-        elements += count * part.elements
-        depth += count * part.depth
+    wide = 2 * (s + len(first)) - 1
+    # 2s H gates around X, an (s-1)-control MCZ and X; one qubit takes X, Z, X.
+    diff_elements, diff_depth = (5, 5) if s == 1 else (4 * s - 1, 2 * s + 1)
+    opening = _comparator_moves(None, first)
+    # Neither the preparation (depth 2) nor a restore (depth 3) can set a
+    # segment's depth: the robot's cell lies under both patterns, so the
+    # opening layers at least 3 deep, and the diffusion is at least 5 deep.
+    boundary = max(_moves_depth(_restore_moves(pairs(n - 1)) + opening), diff_depth)
+    depth = _moves_depth(opening) + (reps - 1) * boundary + diff_depth + reps * n * wide
+    if k > 1:
+        depth += reps * (n - rows) * rewrite_depth(0, 1)
+    if rows > 1:
+        depth += reps * (rows - 1) * rewrite_depth(k - 1, k)
+    elements = s + 2 + reps * (n * (2 * len(first) + wide) + 2 * len(first) + diff_elements)
     return Budget(elements=elements, depth=depth)
 
 
@@ -497,6 +495,14 @@ def closed_form_state(the_plan: GroverPlan, solutions) -> statevec.StateVector:
     if m:
         amps[list(solutions)] = math.sin(angle) / math.sqrt(m)
     return statevec.from_amplitudes(amps)
+
+
+def _modal_anchor(hist: statevec.Histogram, n_anchors: int) -> int | None:
+    """The most frequent outcome below n_anchors as an index, ties to the lowest."""
+    # Equal-width bitstrings sort like their values: compare keys, parse one.
+    top = format(n_anchors - 1, f"0{hist.bits}b")
+    valid = {key: count for key, count in hist.counts.items() if key <= top}
+    return int(min(valid, key=lambda k: (-valid[k], k)), 2) if valid else None
 
 
 @dataclass(frozen=True)
@@ -567,16 +573,8 @@ def run_localization(
         state, range(the_plan.search_qubits), shots, noise=noise, seed=seed + 1
     )
 
-    decoded: Cell | None = None
-    valid = {
-        key: count
-        for key, count in hist.counts.items()
-        if int(key, 2) < the_plan.n_anchors
-    }
-    if valid:
-        best = min(valid, key=lambda k: (-valid[k], int(k, 2)))
-        decoded = the_plan.anchor_cell(int(best, 2))
-
+    best = _modal_anchor(hist, the_plan.n_anchors)
+    decoded = None if best is None else the_plan.anchor_cell(best)
     probability = ideal_success_probability(the_plan) if spec.solutions else 0.0
     return LocalizationReport(
         plan=the_plan,

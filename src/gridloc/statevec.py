@@ -53,9 +53,11 @@ class GateOp:
             if q in seen:
                 raise ValueError(f"qubit {q} repeated in gate")
             seen.add(q)
+        # Validation, noise and metering all ask for the qubits: build them once.
+        object.__setattr__(self, "_qubits", (self.target,) + tuple(q for q, _ in self.controls))
 
     def qubits(self) -> tuple[int, ...]:
-        return (self.target,) + tuple(q for q, _ in self.controls)
+        return self._qubits
 
 
 def h(target: int) -> GateOp:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 import gridloc
 from gridloc import classical, grover2d, statevec
-from gridloc.cli import main
+from gridloc.cli import _json_text, main
 
 BENCH_3X3 = "rows=3 cols=3 q=1 range=1\n.#.\n...\n...\n"
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -177,7 +180,9 @@ def _patch_out(monkeypatch, targets):
 def test_noiseless_folded_runs_build_and_simulate_no_circuit(
     bench_map, robot_map, tmp_path, monkeypatch, noise
 ):
-    _patch_out(monkeypatch, [(grover2d, "build_circuit"), (statevec, "run")])
+    # No gate is built at all: the budget is counted in closed form too.
+    gates = ("build_circuit", "circuit_budget", "Circuit", "h", "x", "z", "mcx", "mcz")
+    _patch_out(monkeypatch, [(statevec, "run")] + [(grover2d, name) for name in gates])
     for path in (bench_map, robot_map):
         out = tmp_path / "g.json"
         hist = tmp_path / "h.csv"
@@ -325,3 +330,33 @@ def test_repeated_main_calls_match_fresh_processes(robot_map, capsys):
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert code == 0 and out
+
+
+# Leaves json writes in its own way: escapes, bool before int, float spellings.
+json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€😀", ""]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-7, 1e300, math.nan, math.inf, -math.inf]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(json_values)
+@example({"h": {"01": 3, "00": 5}, "e": {}, "l": [], "t": (1, (True, None)), "b": False})
+@example([{"z": [2.5, {}], "a": {"k": ()}}, {3: "x", -1: [1]}])
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

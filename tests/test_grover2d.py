@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
@@ -21,6 +21,7 @@ from gridloc import (
     circuit_budget,
     classical_matches,
     compute_costmap,
+    grover2d,
     indicator_costmap,
     oracle_spec,
     parse_map,
@@ -30,9 +31,11 @@ from gridloc import (
     synth_diffusion,
     synth_oracle,
 )
-from gridloc.grover2d import _faithful_oracle_ops, _prep_ops, closed_form_state
+from gridloc.grover2d import _faithful_oracle_ops, _modal_anchor, _prep_ops, closed_form_state
 from gridloc.statevec import (
     Circuit,
+    GateOp,
+    Histogram,
     NoiseModel,
     WidthTooLargeError,
     _marginal,
@@ -275,6 +278,22 @@ def test_empty_solution_set_gives_uniform():
     assert probs.max() < 0.5
 
 
+@pytest.mark.parametrize("mode", ["folded", "faithful"])
+def test_build_circuit_validates_each_part_once(mode, monkeypatch):
+    g = GridMap(rows=2, cols=3, obstacles=frozenset({(1, 2)}))
+    p = plan(g, SINGLE_CELL, mode=mode)
+    spec = oracle_spec(p, indicator_costmap(g), SINGLE_CELL)
+    prep, oracle, diffusion = _prep_ops(p, spec), synth_oracle(p, spec).ops, synth_diffusion(p).ops
+    checked = []
+    qubits = GateOp.qubits
+    monkeypatch.setattr(GateOp, "qubits", lambda op: checked.append(op) or qubits(op))
+    circuit = build_circuit(p, spec)
+    assert p.repetitions == 2
+    assert circuit.width == p.total_qubits
+    assert circuit.ops == tuple(prep) + (oracle + diffusion) * p.repetitions
+    assert len(checked) == len(prep) + len(oracle) + len(diffusion)
+
+
 # ---------------------------------------------------------------- diffusion
 
 
@@ -473,13 +492,16 @@ def test_budget_matches_reference_meter(rows, cols, q, per, mode):
         assert budget(pr) == reference_budget(pr)
 
 
+# Ranges up to 5 on sides up to 12 reach row wraps where the new anchor's
+# column meets the old anchor's row pattern (anchor_cols <= anchor_offset_row
+# + 1) and single-column wraps, whose layering differs from a step's.
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.integers(1, 12),
     cols=st.integers(1, 12),
     q=st.integers(1, 3),
-    sensor_range=st.integers(0, 3),
-    reps=st.integers(1, 4),
+    sensor_range=st.integers(0, 5),
+    reps=st.integers(0, 4),
     mode=st.sampled_from(["folded", "faithful"]),
     data=st.data(),
 )
@@ -499,6 +521,8 @@ def test_budget_matches_reference_meter_sweep(rows, cols, q, sensor_range, reps,
         (5, 3, Perception((0, 0, 0), (0,), 1, 0), (5, 1)),  # wraps, no steps
         (4, 6, Perception((0,), (0, 0, 0, 0), 0, 2), (1, 6)),  # steps, no wraps
         (1, 2, SINGLE_CELL, (1, 2)),
+        (4, 4, Perception((0, 0, 0), (0, 0), 2, 1), (3, 2)),  # wraps meet the old row pattern
+        (5, 3, Perception((0, 0, 0), (0, 0, 0), 1, 1), (3, 1)),  # single-column wraps
     ],
 )
 def test_budget_edge_geometries(rows, cols, per, shape):
@@ -517,19 +541,59 @@ def test_budget_single_search_qubit_diffusion():
     assert budget(p) == reference_budget(p)
 
 
-def test_budget_pinned_folded_64x64():
+@pytest.fixture
+def no_gates(monkeypatch):
+    """Make building any gate or circuit, or metering one, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("budget built a gate or a circuit")
+
+    for name in ("circuit_budget", "Circuit", "h", "x", "z", "mcx", "mcz"):
+        monkeypatch.setattr(grover2d, name, refuse)
+
+
+def test_budget_pinned_folded_64x64(no_gates):
     per = window_perception(64, 64, 3, (30, 30))
     p = plan(GridMap(rows=64, cols=64, qubits_per_cell=2), per, mode="folded")
     assert p.repetitions == 46
     assert budget(p) == Budget(elements=20895192, depth=14362859)
 
 
-def test_budget_pinned_faithful_48x48_indicator():
+def test_budget_pinned_faithful_48x48_indicator(no_gates):
     p = plan(GridMap(rows=48, cols=48), SINGLE_CELL, mode="faithful")
     assert p.repetitions == 38
     assert budget(p) == Budget(elements=2716064, depth=2627399)
 
 # ---------------------------------------------------------------- execution
+
+
+def reference_modal_anchor(counts: dict[str, int], n_anchors: int) -> int | None:
+    """The decode that parses every key: filter and break ties on values."""
+    valid = {key: n for key, n in counts.items() if int(key, 2) < n_anchors}
+    if not valid:
+        return None
+    return int(min(valid, key=lambda k: (-valid[k], int(k, 2))), 2)
+
+
+@st.composite
+def decode_cases(draw):
+    width = draw(st.integers(1, 6))
+    n_anchors = draw(st.integers(1, 1 << width))
+    values = draw(st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(1, 3), min_size=1))
+    return width, n_anchors, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_cases())
+@example((3, 8, {7: 2, 6: 2, 0: 1}))  # n_anchors = 2**s, a tie
+@example((1, 1, {0: 1, 1: 4}))  # one anchor
+@example((2, 3, {3: 5}))  # no valid key
+@example((4, 5, {9: 7, 4: 2, 1: 2}))  # a tie among the valid keys
+def test_modal_anchor_matches_int_decode(case):
+    width, n_anchors, values = case
+    counts = {format(v, f"0{width}b"): n for v, n in values.items()}
+    hist = Histogram(counts=counts, shots=sum(counts.values()), bits=width)
+    assert _modal_anchor(hist, n_anchors) == reference_modal_anchor(counts, n_anchors)
 
 
 def test_run_localization_full_pipeline_demo():
