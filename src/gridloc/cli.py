@@ -128,8 +128,6 @@ def cmd_perceive(args) -> int:
 def cmd_grover(args) -> int:
     grid = _read_map(args.map)
     noise = _parse_noise(args.noise)
-    if grid.robot is None and not grid.obstacles:
-        raise ValueError("map has neither robot nor obstacles, nothing to search for")
     report = grover2d.run_localization(
         grid,
         mode=args.mode,
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
                 f"--max-qubits must be between 1 and {MAX_QUBITS_CEILING}, "
                 f"got {args.max_qubits}"
             )
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except statevec.WidthTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

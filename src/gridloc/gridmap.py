@@ -21,6 +21,9 @@ FREE_CHAR = "."
 OBSTACLE_CHAR = "#"
 ROBOT_CHAR = "R"
 
+# Codes are scaled in float64, which holds every integer up to 2**53 exactly.
+MAX_QUBITS_PER_CELL = 53
+
 class MapFormatError(ValueError):
     """Raised for malformed map text or inconsistent map contents."""
 
@@ -40,7 +43,7 @@ class GridMap:
     rows, cols     grid dimensions, both >= 1
     obstacles      blocked cells as (row, col) pairs
     robot          robot cell or None
-    qubits_per_cell  bits used for one normalized cell code, >= 1
+    qubits_per_cell  bits used for one normalized cell code, 1 to MAX_QUBITS_PER_CELL
     sensor_range   Manhattan radius of the robot's sensor, >= 1
     """
 
@@ -54,8 +57,8 @@ class GridMap:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise MapFormatError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.qubits_per_cell < 1:
-            raise MapFormatError("qubits_per_cell must be >= 1")
+        if not 1 <= self.qubits_per_cell <= MAX_QUBITS_PER_CELL:
+            raise MapFormatError(f"qubits_per_cell must be between 1 and {MAX_QUBITS_PER_CELL}")
         if self.sensor_range < 1:
             raise MapFormatError("sensor_range must be >= 1")
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
@@ -219,7 +222,7 @@ def to_text(grid: GridMap) -> str:
 
 
 def _field(mask: np.ndarray, initial: float) -> np.ndarray:
-    """Summed obstacle influence of n obstacle masks, shape (n, h, w).
+    """Summed obstacle influence of an obstacle mask.
 
     Each obstacle adds initial·2^(1−d) to every cell at Manhattan distance
     d >= 1 and nothing to its own cell. That law is separable,
@@ -228,24 +231,23 @@ def _field(mask: np.ndarray, initial: float) -> np.ndarray:
     out each obstacle's own-cell term.
     """
     weight = mask.astype(float)
-    h, w = weight.shape[1:]
-    e_h, e_w = (np.exp2(-np.abs(np.subtract.outer(x, x))) for x in (np.arange(h), np.arange(w)))
-    return 2.0 * initial * (e_h @ (weight.reshape(-1, w) @ e_w).reshape(weight.shape) - weight)
+    e_h, e_w = (np.exp2(-np.abs(np.subtract.outer(x, x))) for x in map(np.arange, weight.shape))
+    return 2.0 * initial * (e_h @ weight @ e_w - weight)
 
 
 def _normalize(raw: np.ndarray, free_mask: np.ndarray, qubits_per_cell: int) -> np.ndarray:
-    """Map each of n raw fields, shape (n, rows, cols), to integer codes in [0, 2**q - 1].
+    """Map a raw field to integer codes in [0, 2**q - 1].
 
-    Min and max are taken over a field's free cells only; its other cells
-    take the top code. Rounding is half-up. A flat field codes to zeros.
+    Min and max are taken over the free cells only; the other cells take
+    the top code. Rounding is half-up. A flat field codes to zeros.
     """
     top = (1 << qubits_per_cell) - 1
-    lo = np.where(free_mask, raw, np.inf).min(axis=(1, 2), keepdims=True)
-    hi = np.where(free_mask, raw, -np.inf).max(axis=(1, 2), keepdims=True)
-    sloped = hi > lo
-    factor = np.where(sloped, (hi - lo) / top, 1.0)
-    scaled = np.clip(np.floor((raw - lo) / factor + 0.5), 0, top)
-    return np.where(free_mask, np.where(sloped, scaled, 0), top).astype(np.int64)
+    lo = np.where(free_mask, raw, np.inf).min()
+    hi = np.where(free_mask, raw, -np.inf).max()
+    if not hi > lo:
+        return np.where(free_mask, 0, top).astype(np.int64)
+    scaled = np.clip(np.floor((raw - lo) / ((hi - lo) / top) + 0.5), 0, top)
+    return np.where(free_mask, scaled, top).astype(np.int64)
 
 
 def compute_costmap(grid: GridMap) -> Costmap:
@@ -254,10 +256,9 @@ def compute_costmap(grid: GridMap) -> Costmap:
     The influence seed value is the larger grid side, so bigger grids
     radiate proportionally stronger fields before normalization.
     """
-    obstacle = grid.obstacle_mask()[None]
+    obstacle = grid.obstacle_mask()
     raw = _field(obstacle, float(max(grid.rows, grid.cols)))
-    code = _normalize(raw, ~obstacle, grid.qubits_per_cell)
-    return Costmap(raw=raw[0], code=code[0])
+    return Costmap(raw=raw, code=_normalize(raw, ~obstacle, grid.qubits_per_cell))
 
 
 def indicator_costmap(grid: GridMap) -> Costmap:
@@ -274,60 +275,43 @@ def perceive(grid: GridMap) -> Perception:
 
 
 def perceive_at(grid: GridMap, cell: Cell) -> Perception:
-    """Perception as it would be sensed from a given free cell: one row of perception_codes."""
+    """Perception as it would be sensed from a given free cell: its slice of the costmap."""
     if not grid.in_bounds(cell):
         raise ValueError(f"cell {cell} outside grid")
     if cell in grid.obstacles:
         raise ValueError(f"cannot perceive from obstacle cell {cell}")
-    row, col = perception_codes(grid, [cell])[0]
+    return sensed_slice(compute_costmap(grid).code, cell, grid.sensor_range)
+
+
+def sensed_slice(code: np.ndarray, cell: Cell, sensor_range: int) -> Perception:
+    """The codes along a cell's row and column, clipped to the window of the sensor range."""
+    r, c = cell
+    top, left = max(r - sensor_range, 0), max(c - sensor_range, 0)
     return Perception(
-        row_pattern=tuple(row[row >= 0].tolist()),
-        col_pattern=tuple(col[col >= 0].tolist()),
-        anchor_offset_row=min(cell[1], grid.sensor_range),
-        anchor_offset_col=min(cell[0], grid.sensor_range),
+        row_pattern=tuple(code[r, left : c + sensor_range + 1].tolist()),
+        col_pattern=tuple(code[top : r + sensor_range + 1, c].tolist()),
+        anchor_offset_row=c - left,
+        anchor_offset_col=r - top,
     )
 
 
 def perception_codes(grid: GridMap, cells) -> np.ndarray:
-    """Perception of many free cells in one pass, as an int64 (n, 2, 2*range + 1) array.
+    """Perception of many free cells in one gather, as an int64 (n, 2, 2*reach + 1) array.
 
-    For cell k at (r, c), ``[k, 0]`` holds the codes of row r over columns
-    c - range .. c + range and ``[k, 1]`` those of column c over rows
-    r - range .. r + range; -1 marks positions off the grid. A cell senses
-    only the obstacles within range and normalizes over its sensing ball
-    alone, so edits beyond the range never leak in. Its field is the
-    costmap's influence field (``_field``) of the obstacles in the ball, on a
-    window of at most 2*range + 1 rows and columns that holds the ball. The
-    terms are dyadic, so the sums are exact in any order while
-    max(rows, cols)·n·2^(D+1) < 2^53, with n the obstacles in a ball and
-    D = min(2·range, rows + cols − 2).
+    For cell k at (r, c), ``[k, 0]`` holds the costmap codes of row r over
+    columns c - reach .. c + reach and ``[k, 1]`` those of column c over
+    rows r - reach .. r + reach; -1 marks positions off the grid. reach is
+    the sensor range capped at the larger map side: a wider window adds
+    only off-grid positions, the same number to every cell.
     """
-    cells = np.asarray(cells, dtype=np.intp).reshape(-1, 2)
-    rng = grid.sensor_range
-    span = 2 * rng + 1
-    h, w = min(span, grid.rows), min(span, grid.cols)
-    # Window corners, clipped onto the grid; a window still holds the on-grid part of its ball.
-    corner = np.clip(cells - rng, 0, [grid.rows - h, grid.cols - w])
-    local = cells - corner
-    ii, jj = np.arange(h), np.arange(w)
-    obstacle = grid.obstacle_mask()
-    initial = float(max(grid.rows, grid.cols))
-    out = np.empty((len(cells), 2, span), dtype=np.int64)
-    batch = max(1, (1 << 15) // (h * w))  # cells per batch: about 2^15 window entries
-    for start in range(0, len(cells), batch):
-        k = slice(start, start + batch)
-        lr, lc = local[k, 0], local[k, 1]
-        ball = np.abs(ii[:, None] - lr[:, None, None]) + np.abs(jj - lc[:, None, None]) <= rng
-        blocked = obstacle[corner[k, :1, None] + ii[:, None], corner[k, 1:, None] + jj]
-        raw = _field(ball & blocked, initial)
-        code = _normalize(raw, ball & ~blocked, grid.qubits_per_cell)
-        n = np.arange(len(code))
-        # Read the span centred on the cell; positions past the window are off the grid.
-        for axis, line, pos in ((0, code[n, lr], lc), (1, code[n, :, lc], lr)):
-            j = pos[:, None] + np.arange(-rng, rng + 1)
-            inside = (j >= 0) & (j < line.shape[1])
-            out[k, axis] = np.where(inside, line[n[:, None], j.clip(0, line.shape[1] - 1)], -1)
-    return out
+    reach = min(grid.sensor_range, max(grid.rows, grid.cols))
+    span = np.arange(-reach, reach + 1)
+    # One border of -1 stands for every position off the grid.
+    code = np.pad(compute_costmap(grid).code, 1, constant_values=-1)
+    r, c = (np.asarray(cells, dtype=np.intp).reshape(-1, 2) + 1).T[:, :, None]
+    return np.stack(
+        [code[r, (c + span).clip(0, grid.cols + 1)], code[(r + span).clip(0, grid.rows + 1), c]], axis=1
+    )
 
 
 def costmap_csv(costmap: Costmap) -> str:

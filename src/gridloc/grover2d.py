@@ -30,7 +30,9 @@ from .gridmap import (
     Perception,
     compute_costmap,
     indicator_costmap,
-    perceive,
+    # perceive stays importable from here: the benchmark's tracer wraps grover2d.perceive.
+    perceive,  # noqa: F401
+    sensed_slice,
 )
 from .statevec import Circuit, GateOp, WidthTooLargeError, h, mcx, mcz, x, z
 
@@ -205,8 +207,8 @@ def plan(
     )
 
 
-def classical_matches(costmap: Costmap, perception: Perception) -> set[Cell]:
-    """All anchors whose covered cells equal the patterns, by full scan."""
+def _match_mask(costmap: Costmap, perception: Perception) -> np.ndarray:
+    """Full scan of the anchor grid: the flat index of each True entry is a matching anchor index."""
     p_row = len(perception.row_pattern)
     p_col = len(perception.col_pattern)
     if p_row > costmap.cols or p_col > costmap.rows:
@@ -223,15 +225,23 @@ def classical_matches(costmap: Costmap, perception: Perception) -> set[Cell]:
         ok &= code[o_col : o_col + n_rows, j : j + n_cols] == value
     for i, value in enumerate(perception.col_pattern):
         ok &= code[i : i + n_rows, o_row : o_row + n_cols] == value
-    rows, cols = np.nonzero(ok)
+    return ok
+
+
+def classical_matches(costmap: Costmap, perception: Perception) -> set[Cell]:
+    """All anchors whose covered cells equal the patterns, by full scan."""
+    rows, cols = np.nonzero(_match_mask(costmap, perception))
+    o_row, o_col = perception.anchor_offset_row, perception.anchor_offset_col
     return {(int(a) + o_col, int(b) + o_row) for a, b in zip(rows, cols)}
 
 
 def oracle_spec(the_plan: GroverPlan, costmap: Costmap, perception: Perception) -> OracleSpec:
     """Bundle the data both oracle forms are synthesized from."""
-    cells = sorted(classical_matches(costmap, perception))
+    ok = _match_mask(costmap, perception)
+    if ok.shape != (the_plan.anchor_rows, the_plan.anchor_cols):
+        raise ValueError("plan and perception disagree on the anchor grid")
     return OracleSpec(
-        solutions=tuple(the_plan.anchor_index(cell) for cell in cells),
+        solutions=tuple(np.flatnonzero(ok).tolist()),
         map_codes=tuple(map(tuple, costmap.code.tolist())),
         row_pattern=perception.row_pattern,
         col_pattern=perception.col_pattern,
@@ -492,8 +502,7 @@ def closed_form_state(the_plan: GroverPlan, solutions) -> statevec.StateVector:
     span, m = 1 << the_plan.search_qubits, len(solutions)
     angle = _rotation(the_plan, m)
     amps = np.full(span, math.cos(angle) / math.sqrt(span - m) if m < span else 0.0)
-    if m:
-        amps[list(solutions)] = math.sin(angle) / math.sqrt(m)
+    amps[list(solutions)] = math.sin(angle) / math.sqrt(m)
     return statevec.from_amplitudes(amps)
 
 
@@ -540,17 +549,25 @@ def run_localization(
 ) -> LocalizationReport:
     """Locate the robot by amplifying matching anchors.
 
-    A map with a robot is searched for the robot's perception in its own
-    costmap. A map without one gets the benchmark reading: the single code
-    1 searched in the obstacle indicator, which marks the obstacles. The
-    width guard runs on the plan before any costmap is built. Both modes
-    size the repetitions and the ideal success probability with the exact
-    solution count (at least 1). A folded run without gate noise samples the
-    closed-form state; every other run simulates its circuit. The modal
-    outcome among valid anchor values decodes to a cell, ties going to the
-    lowest anchor index.
+    A map with a robot is searched for the robot's perception, the slice of
+    its own costmap through the robot's cell. A map without one gets the
+    benchmark reading: the single code 1 searched in the obstacle
+    indicator, which marks the obstacles. So every search has a match, and
+    a map with neither robot nor obstacles is refused. The width guard runs
+    on the plan before any costmap is built. Both modes size the repetitions
+    and the ideal success probability with the exact solution count. A
+    folded run without gate noise samples the closed-form state; every other
+    run simulates its circuit. The modal outcome among valid anchor values
+    decodes to a cell, ties going to the lowest anchor index.
     """
-    perception = SINGLE_CELL if grid.robot is None else perceive(grid)
+    if grid.robot is None and not grid.obstacles:
+        raise ValueError("map has neither robot nor obstacles, nothing to search for")
+    if grid.robot is None:
+        perception = SINGLE_CELL
+    else:
+        # plan reads only the window's shape, so the guard slices a zero view, not a costmap.
+        window = np.broadcast_to(0, (grid.rows, grid.cols))
+        perception = sensed_slice(window, grid.robot, grid.sensor_range)
     the_plan = plan(grid, perception, mode)
     if the_plan.total_qubits > max_qubits:
         message = f"{the_plan.mode} layout needs {the_plan.total_qubits} qubits, over the {max_qubits}-qubit budget"
@@ -558,9 +575,13 @@ def run_localization(
             message += f"; folded mode needs only {the_plan.search_qubits}"
         raise WidthTooLargeError(message)
 
-    costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
+    if grid.robot is None:
+        costmap = indicator_costmap(grid)
+    else:
+        costmap = compute_costmap(grid)
+        perception = sensed_slice(costmap.code, grid.robot, grid.sensor_range)
     spec = oracle_spec(the_plan, costmap, perception)
-    the_plan = plan(grid, perception, mode, solutions=max(1, len(spec.solutions)))
+    the_plan = plan(grid, perception, mode, solutions=len(spec.solutions))
     if repetitions is not None:
         the_plan = replace(the_plan, repetitions=int(repetitions))
     if the_plan.mode == "folded" and (noise is None or noise.p_gate == 0):
@@ -575,12 +596,11 @@ def run_localization(
 
     best = _modal_anchor(hist, the_plan.n_anchors)
     decoded = None if best is None else the_plan.anchor_cell(best)
-    probability = ideal_success_probability(the_plan) if spec.solutions else 0.0
     return LocalizationReport(
         plan=the_plan,
         histogram=hist,
         decoded=decoded,
-        ideal_success_probability=probability,
+        ideal_success_probability=ideal_success_probability(the_plan),
         budget=budget(the_plan),
         shots=shots,
         seed=seed,

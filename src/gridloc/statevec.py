@@ -338,10 +338,6 @@ class Histogram:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("histogram counts do not sum to shots")
 
-    def modal(self) -> str:
-        """Most frequent outcome; ties break toward the smaller bitstring."""
-        return min(self.counts, key=lambda k: (-self.counts[k], k))
-
     def to_csv(self) -> str:
         lines = ["outcome,count"]
         for key in sorted(self.counts, key=lambda k: (-self.counts[k], k)):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,26 @@ def test_perceive_command(robot_map, tmp_path):
 
 def test_perceive_needs_robot(bench_map):
     assert main(["perceive", "--map", bench_map]) == 2
+
+
+def test_huge_range_reads_the_whole_map(tmp_path, capsys):
+    # A range past the map sides senses what range 4 senses on a 3x3 map,
+    # and neither perception nor the particle filter allocates by range: the
+    # huge-range runs, made after the range-4 ones, peak under 1 MiB.
+    outputs = []
+    for reach in (4, 1000000):
+        path = tmp_path / f"range{reach}.map"
+        path.write_text(f"rows=3 cols=3 q=2 range={reach}\n.#.\n..R\n#..\n")
+        for command in ("perceive", "mcl"):
+            tracemalloc.start()
+            try:
+                assert main([command, "--map", str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert reach == 4 or peak < 1 << 20, (command, peak)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_grover_benchmark_map(bench_map, tmp_path):
@@ -112,6 +133,18 @@ def test_grover_faithful_width_exit(tmp_path):
         "rows=5 cols=5 q=1 range=1\n.....\n.....\n.....\n..#..\n.....\n"
     )
     assert main(["grover", "--map", str(path), "--mode", "faithful"]) == 3
+
+
+def test_width_guard_runs_before_the_costmap(tmp_path, monkeypatch):
+    # A robot map too wide for faithful mode exits 3 without building a costmap.
+    def refuse(grid):
+        raise AssertionError("costmap built before the width guard")
+
+    for module in (gridloc.gridmap, grover2d):
+        monkeypatch.setattr(module, "compute_costmap", refuse)
+    path = tmp_path / "robot.map"
+    path.write_text(ROBOT_MAP)
+    assert main(["grover", "--map", str(path), "--mode", "faithful", "--max-qubits", "20"]) == 3
 
 
 
@@ -223,6 +256,36 @@ def test_mcl_max_iters_below_one_is_input_error(robot_map, value, capsys):
 def test_max_qubits_outside_ceiling_is_input_error(bench_map, value, capsys):
     assert main(["grover", "--map", bench_map, "--max-qubits", value]) == 2
     assert "--max-qubits must be between 1 and 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["grover"], ["grover", "--noise", "0.01,0.01"], ["mcl"], ["compare"], ["scale", "--sizes", "2x2"]],
+    ids=["grover", "grover-noise", "mcl", "compare", "scale"],
+)
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_negative_seed_is_input_error(robot_map, argv, seed, capsys):
+    if argv[0] != "scale":
+        argv = [*argv, "--map", robot_map]
+    assert main([*argv, "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: --seed must be non-negative, got {seed}\n"
+
+
+def test_largest_q_keeps_the_top_code_exact(tmp_path, capsys):
+    path = tmp_path / "q53.map"
+    path.write_text("rows=2 cols=2 q=53 range=1\n#.\n.R\n")
+    assert main(["costmap", "--map", str(path)]) == 0
+    codes = [int(line.rsplit(",", 1)[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert max(codes) == 9007199254740991 == 2**53 - 1
+
+
+@pytest.mark.parametrize("q", [54, 63, 70])
+@pytest.mark.parametrize("command", ["costmap", "perceive", "grover", "mcl"])
+def test_q_past_53_is_input_error(tmp_path, command, q, capsys):
+    path = tmp_path / "wide.map"
+    path.write_text(f"rows=2 cols=2 q={q} range=1\n#.\n.R\n")
+    assert main([command, "--map", str(path)]) == 2
+    assert "qubits_per_cell must be between 1 and 53" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["bench_5x5.map", "bench_6x6.map"])

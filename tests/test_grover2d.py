@@ -270,12 +270,18 @@ def test_faithful_matches_folded_on_multicell_patterns():
     assert marked_set_folded(po, so) == want
 
 
-def test_empty_solution_set_gives_uniform():
-    g = GridMap(rows=2, cols=2)  # no obstacle anywhere, pattern wants a 1
-    rep = run_localization(g, shots=2000, seed=0)
-    assert rep.ideal_success_probability == 0.0
-    probs = np.array(list(rep.histogram.counts.values())) / rep.histogram.shots
-    assert probs.max() < 0.5
+def test_oracle_spec_rejects_a_plan_for_another_anchor_grid():
+    g = GridMap(rows=2, cols=3, obstacles=frozenset({(1, 2)}))
+    per = Perception(row_pattern=(0, 1), col_pattern=(1,), anchor_offset_row=0, anchor_offset_col=0)
+    with pytest.raises(ValueError):
+        oracle_spec(plan(g, SINGLE_CELL), indicator_costmap(g), per)
+
+
+def test_map_without_robot_or_obstacles_is_refused():
+    g = GridMap(rows=2, cols=2)  # no obstacle anywhere, nothing marks a 1
+    for mode in ("folded", "faithful"):
+        with pytest.raises(ValueError, match="neither robot nor obstacles"):
+            run_localization(g, mode=mode, max_qubits=1)
 
 
 @pytest.mark.parametrize("mode", ["folded", "faithful"])
@@ -630,6 +636,52 @@ def test_run_localization_faithful_small_case():
     assert rep.plan.total_qubits == 13
 
 
+@st.composite
+def robot_maps(draw) -> GridMap:
+    """Sides 1-24, 0-15% obstacles, a robot on a free cell, q 1-3, range 1-4."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    cells = draw(st.permutations([(r, c) for r in range(rows) for c in range(cols)]))
+    blocked = draw(st.integers(0, int(0.15 * rows * cols)))
+    return GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(cells[:blocked]),
+        robot=cells[blocked],
+        qubits_per_cell=draw(st.integers(1, 3)),
+        sensor_range=draw(st.integers(1, 4)),
+    )
+
+
+# No shrink phase: shrinking a failing map of up to 576 cells stalls for
+# minutes, while the unshrunk example already names the map.
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(grid=robot_maps())
+def test_robot_matches_its_own_cell(grid):
+    assert grid.robot in classical_matches(compute_costmap(grid), perceive(grid))
+
+
+def test_folded_decodes_a_uniquely_matching_robot():
+    # 40 robot maps: sides 6-24, 1-12% obstacles, q 1-2, range 1-3. The robot
+    # always matches its own cell. Wherever it is the only match and the ideal
+    # success probability is above 0.5, 1024 shots decode the robot; 20 of
+    # the 40 maps are such maps.
+    rng = random.Random(2024)
+    decoded = 0
+    for _ in range(40):
+        rows, cols = rng.randint(6, 24), rng.randint(6, 24)
+        cells = rng.sample([(r, c) for r in range(rows) for c in range(cols)], rows * cols)
+        blocked = int(rng.uniform(0.01, 0.12) * rows * cols)
+        grid = GridMap(rows=rows, cols=cols, obstacles=frozenset(cells[:blocked]), robot=cells[blocked],
+                       qubits_per_cell=rng.randint(1, 2), sensor_range=rng.randint(1, 3))
+        matches = classical_matches(compute_costmap(grid), perceive(grid))
+        assert grid.robot in matches
+        report = run_localization(grid, shots=1024, seed=1)
+        if matches == {grid.robot} and report.ideal_success_probability > 0.5:
+            assert report.decoded == grid.robot
+            decoded += 1
+    assert decoded == 20
+
+
 # ------------------------------------------------- closed form vs gate path
 
 
@@ -638,7 +690,7 @@ def gate_path(grid, repetitions):
     perception = SINGLE_CELL if grid.robot is None else perceive(grid)
     costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
     spec = oracle_spec(plan(grid, perception), costmap, perception)
-    p = plan(grid, perception, solutions=max(1, len(spec.solutions)))
+    p = plan(grid, perception, solutions=len(spec.solutions))
     if repetitions is not None:
         p = replace(p, repetitions=repetitions)
     return p, spec, run(init_state(p.total_qubits), build_circuit(p, spec))
@@ -665,6 +717,9 @@ def folded_grids(draw) -> GridMap:
     obstacles = draw(st.sets(st.sampled_from(cells)))
     free = [cell for cell in cells if cell not in obstacles]
     robot = draw(st.one_of(st.none(), st.sampled_from(free))) if free else None
+    if robot is None and not obstacles:
+        # A robot-less map needs an obstacle to search for.
+        obstacles = {draw(st.sampled_from(cells))}
     return GridMap(
         rows=rows,
         cols=cols,
@@ -692,18 +747,17 @@ def test_closed_form_matches_gate_path(grid, repetitions, shots, p_meas, seed):
 @pytest.mark.parametrize(
     "grid, marked",
     [
-        (GridMap(rows=3, cols=3), 0),
-        (parse_map((MAPS / "unique_4x5.map").read_text()), 0),
+        (parse_map((MAPS / "unique_4x5.map").read_text()), 1),
         (GridMap(rows=2, cols=2, obstacles=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})), 4),
         (GridMap(rows=1, cols=4, obstacles=frozenset({(0, 2)})), 1),
         (GridMap(rows=3, cols=5, obstacles=frozenset({(0, 1), (2, 4), (1, 3)})), 3),
     ],
-    ids=["no-marks", "robot-no-marks", "all-marked", "one-of-four", "three-of-fifteen"],
+    ids=["robot-marks-itself", "all-marked", "one-of-four", "three-of-fifteen"],
 )
 @pytest.mark.parametrize("repetitions", [None, -2, 0, 1, 3])
 @pytest.mark.parametrize("p_meas", [0.0, 0.2])
 def test_closed_form_edge_cases(grid, marked, repetitions, p_meas):
-    # M = 0 and R <= 0 leave the uniform state; M = 2**s has no unmarked state.
+    # R <= 0 leaves the uniform state; M = 2**s has no unmarked state.
     p, spec, _ = gate_path(grid, repetitions)
     assert len(spec.solutions) == marked
     check_closed_form(grid, repetitions, 3000, p_meas, 11)
