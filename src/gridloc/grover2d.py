@@ -478,10 +478,11 @@ def _rotation(the_plan: GroverPlan, marked: int) -> float:
     """(2R+1)θ with sin²θ = marked / 2**search_qubits: the angle R rounds reach.
 
     The amplified space spans all 2**search_qubits basis states, so the
-    mark fraction uses that power of two, not the raw anchor count.
+    mark fraction uses that power of two, not the raw anchor count. A
+    negative R runs no rounds, as in the circuit.
     """
     theta = math.asin(math.sqrt(marked / (1 << the_plan.search_qubits)))
-    return (2 * the_plan.repetitions + 1) * theta
+    return (2 * max(the_plan.repetitions, 0) + 1) * theta
 
 
 def ideal_success_probability(the_plan: GroverPlan) -> float:
@@ -490,15 +491,13 @@ def ideal_success_probability(the_plan: GroverPlan) -> float:
 
 
 def closed_form_state(the_plan: GroverPlan, solutions) -> statevec.StateVector:
-    """The noiseless folded state after the plan's repetitions, built without gates.
+    """The noiseless search-register state after the plan's repetitions, built without gates.
 
     Each of the M marked anchors holds sin((2R+1)θ)/√M, every other state of
     the 2**s span cos((2R+1)θ)/√(2**s - M) (Boyer, Brassard, Høyer, Tapp
-    1998): the folded circuit's state up to a global sign. A negative R runs
-    no rounds, as in the circuit, which leaves the uniform state.
+    1998): the folded circuit's state up to a global sign, and the faithful
+    circuit's search marginal. A negative R leaves the uniform state.
     """
-    if the_plan.repetitions < 0:
-        the_plan = replace(the_plan, repetitions=0)
     span, m = 1 << the_plan.search_qubits, len(solutions)
     angle = _rotation(the_plan, m)
     amps = np.full(span, math.cos(angle) / math.sqrt(span - m) if m < span else 0.0)
@@ -555,10 +554,11 @@ def run_localization(
     indicator, which marks the obstacles. So every search has a match, and
     a map with neither robot nor obstacles is refused. The width guard runs
     on the plan before any costmap is built. Both modes size the repetitions
-    and the ideal success probability with the exact solution count. A
-    folded run without gate noise samples the closed-form state; every other
-    run simulates its circuit. The modal outcome among valid anchor values
-    decodes to a cell, ties going to the lowest anchor index.
+    and the ideal success probability with the exact solution count. A run
+    without gate noise, in either mode, samples the closed-form state; only
+    gate noise makes a run build and simulate its circuit. The modal
+    outcome among valid anchor values decodes to a cell, ties going to the
+    lowest anchor index.
     """
     if grid.robot is None and not grid.obstacles:
         raise ValueError("map has neither robot nor obstacles, nothing to search for")
@@ -584,7 +584,7 @@ def run_localization(
     the_plan = plan(grid, perception, mode, solutions=len(spec.solutions))
     if repetitions is not None:
         the_plan = replace(the_plan, repetitions=int(repetitions))
-    if the_plan.mode == "folded" and (noise is None or noise.p_gate == 0):
+    if noise is None or noise.p_gate == 0:
         state = closed_form_state(the_plan, spec.solutions)
     else:
         circuit = build_circuit(the_plan, spec)

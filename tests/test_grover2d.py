@@ -685,25 +685,26 @@ def test_folded_decodes_a_uniquely_matching_robot():
 # ------------------------------------------------- closed form vs gate path
 
 
-def gate_path(grid, repetitions):
-    """Folded plan, spec and simulated state, built the way the gate path runs them."""
+def gate_path(grid, mode, repetitions):
+    """Plan, spec and simulated state in one mode, built the way the gate path runs them."""
     perception = SINGLE_CELL if grid.robot is None else perceive(grid)
     costmap = indicator_costmap(grid) if grid.robot is None else compute_costmap(grid)
-    spec = oracle_spec(plan(grid, perception), costmap, perception)
-    p = plan(grid, perception, solutions=len(spec.solutions))
+    spec = oracle_spec(plan(grid, perception, mode), costmap, perception)
+    p = plan(grid, perception, mode, solutions=len(spec.solutions))
     if repetitions is not None:
         p = replace(p, repetitions=repetitions)
-    return p, spec, run(init_state(p.total_qubits), build_circuit(p, spec))
+    return p, spec, run(init_state(p.total_qubits, p.total_qubits), build_circuit(p, spec))
 
 
-def check_closed_form(grid, repetitions, shots, p_meas, seed):
+def check_closed_form(grid, mode, repetitions, shots, p_meas, seed):
     """Closed-form marginal within 1e-12 of the simulated one; same plan and histogram."""
-    p, spec, simulated = gate_path(grid, repetitions)
+    p, spec, simulated = gate_path(grid, mode, repetitions)
     measured = list(range(p.search_qubits - 1, -1, -1))
     closed = _marginal(closed_form_state(p, spec.solutions), measured)
     assert np.max(np.abs(closed - _marginal(simulated, measured))) <= 1e-12
     noise = None if p_meas == 0 else NoiseModel(p_meas=p_meas)
-    report = run_localization(grid, shots=shots, noise=noise, seed=seed, repetitions=repetitions)
+    report = run_localization(grid, mode, shots=shots, noise=noise, seed=seed,
+                              max_qubits=p.total_qubits, repetitions=repetitions)
     assert report.plan == p
     assert report.histogram == sample(
         simulated, range(p.search_qubits), shots, noise=noise, seed=seed + 1
@@ -711,8 +712,8 @@ def check_closed_form(grid, repetitions, shots, p_meas, seed):
 
 
 @st.composite
-def folded_grids(draw) -> GridMap:
-    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def search_grids(draw, max_side, max_q, max_range) -> GridMap:
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     obstacles = draw(st.sets(st.sampled_from(cells)))
     free = [cell for cell in cells if cell not in obstacles]
@@ -725,23 +726,31 @@ def folded_grids(draw) -> GridMap:
         cols=cols,
         obstacles=frozenset(obstacles),
         robot=robot,
-        qubits_per_cell=draw(st.integers(1, 3)),
-        sensor_range=draw(st.integers(1, 3)),
+        qubits_per_cell=draw(st.integers(1, max_q)),
+        sensor_range=draw(st.integers(1, max_range)),
     )
 
 
 # No shrink phase: shrinking a failing case stalls for minutes, while the
-# unshrunk example already shows the map and the first difference.
-@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+# unshrunk example already shows the map and the first difference. Faithful
+# maps stay at sides up to 6, where every gate of the circuit is simulated;
+# the two explicit cases are its 34- and 46-qubit benchmark layouts.
+@settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
-    grid=folded_grids(),
+    mode_grid=st.one_of(
+        st.tuples(st.just("folded"), search_grids(12, 3, 3)),
+        st.tuples(st.just("faithful"), search_grids(6, 2, 2)),
+    ),
     repetitions=st.one_of(st.none(), st.integers(-2, 4)),
     shots=st.integers(1, 5000),
     p_meas=st.sampled_from([0.0, 0.2]),
     seed=st.integers(0, 2**16),
 )
-def test_closed_form_matches_gate_path(grid, repetitions, shots, p_meas, seed):
-    check_closed_form(grid, repetitions, shots, p_meas, seed)
+@example(("faithful", parse_map((MAPS / "bench_5x5.map").read_text())), None, 2048, 0.0, 5)
+@example(("faithful", parse_map((MAPS / "bench_6x6.map").read_text())), None, 2048, 0.2, 6)
+def test_closed_form_matches_gate_path(mode_grid, repetitions, shots, p_meas, seed):
+    mode, grid = mode_grid
+    check_closed_form(grid, mode, repetitions, shots, p_meas, seed)
 
 
 @pytest.mark.parametrize(
@@ -758,6 +767,15 @@ def test_closed_form_matches_gate_path(grid, repetitions, shots, p_meas, seed):
 @pytest.mark.parametrize("p_meas", [0.0, 0.2])
 def test_closed_form_edge_cases(grid, marked, repetitions, p_meas):
     # R <= 0 leaves the uniform state; M = 2**s has no unmarked state.
-    p, spec, _ = gate_path(grid, repetitions)
-    assert len(spec.solutions) == marked
-    check_closed_form(grid, repetitions, 3000, p_meas, 11)
+    for mode in ("folded", "faithful"):
+        p, spec, _ = gate_path(grid, mode, repetitions)
+        assert len(spec.solutions) == marked
+        check_closed_form(grid, mode, repetitions, 3000, p_meas, 11)
+
+
+@pytest.mark.parametrize("repetitions", [-3, -2, -1, 0])
+def test_no_rounds_report_the_uniform_success_probability(repetitions):
+    # A negative R runs no rounds, like R = 0, so the marked share is M / 2**s.
+    report = run_localization(parse_map((MAPS / "bench_3x3.map").read_text()), repetitions=repetitions)
+    p = report.plan
+    assert report.ideal_success_probability == pytest.approx(p.n_solutions / (1 << p.search_qubits))
