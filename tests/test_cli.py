@@ -209,45 +209,54 @@ def _patch_out(monkeypatch, targets):
         monkeypatch.setattr(module, name, reached)
 
 
-def _record_calls(monkeypatch, targets, calls):
-    for module, name in targets:
-        def recorded(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+def _assert_runs_build_no_circuit(monkeypatch, tmp_path, paths, extra):
+    # No gate is built at all: the budget is counted in closed form too.
+    gates = ("build_circuit", "circuit_budget", "Circuit", "h", "x", "z", "mcx", "mcz")
+    _patch_out(monkeypatch, [(statevec, "run")] + [(grover2d, name) for name in gates])
+    for path in paths:
+        out = tmp_path / "g.json"
+        hist = tmp_path / "h.csv"
+        assert main(["grover", "--map", path, "--out", str(out), "--hist", str(hist), *extra]) == 0
+        assert json.loads(out.read_text())["decoded"] is not None
 
-        monkeypatch.setattr(module, name, recorded)
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "0,0.05"]], ids=["noiseless", "readout-noise"])
+def test_noiseless_folded_runs_build_and_simulate_no_circuit(
+    bench_map, robot_map, tmp_path, monkeypatch, noise
+):
+    _assert_runs_build_no_circuit(monkeypatch, tmp_path, (bench_map, robot_map), noise)
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "0,0.05"]], ids=["noiseless", "readout-noise"])
+def test_noiseless_faithful_runs_build_and_simulate_no_circuit(
+    bench_map, robot_map, tmp_path, monkeypatch, noise
+):
+    # Without gate noise a faithful run samples the closed form as a folded
+    # one does; its construction still sets the width and the budget.
+    extra = ["--mode", "faithful", "--max-qubits", "46", *noise]
+    _assert_runs_build_no_circuit(monkeypatch, tmp_path, (bench_map, robot_map), extra)
 
 
 @pytest.mark.parametrize(
-    "noise, simulated",
-    [
-        ([], False),
-        (["--noise", "0,0.05"], False),
-        (["--noise", "0.01,0"], True),
-        (["--noise", "ibm-kyiv-2024"], True),
-    ],
-    ids=["noiseless", "readout-noise", "gate-noise", "preset"],
+    "target", [(grover2d, "build_circuit"), (statevec, "run")], ids=["build_circuit", "run"]
 )
-@pytest.mark.parametrize("mode", ["folded", "faithful"])
-def test_only_gate_noise_builds_and_simulates_a_circuit(
-    bench_map, robot_map, tmp_path, monkeypatch, mode, noise, simulated
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--noise", "0.01,0"],
+        ["--mode", "faithful", "--noise", "0.01,0"],
+        ["--mode", "faithful", "--noise", "ibm-kyiv-2024"],
+    ],
+    ids=["folded-gate-noise", "faithful-gate", "faithful-preset"],
+)
+def test_gate_noise_and_faithful_runs_simulate_their_circuit(
+    bench_map, robot_map, monkeypatch, target, extra
 ):
-    # Without gate noise both modes sample the closed form and build no gate
-    # at all (the budget is counted in closed form too); gate noise has to
-    # hit the simulated circuit.
-    calls: list[str] = []
-    if simulated:
-        _record_calls(monkeypatch, [(grover2d, "build_circuit"), (statevec, "run")], calls)
-    else:
-        gates = ("build_circuit", "circuit_budget", "Circuit", "h", "x", "z", "mcx", "mcz")
-        _patch_out(monkeypatch, [(statevec, "run")] + [(grover2d, name) for name in gates])
+    # Gate noise has to hit the simulated circuit, in either mode.
+    _patch_out(monkeypatch, [target])
     for path in (bench_map, robot_map):
-        out = tmp_path / "g.json"
-        hist = tmp_path / "h.csv"
-        argv = ["grover", "--map", path, "--mode", mode, "--max-qubits", "46", *noise]
-        assert main([*argv, "--out", str(out), "--hist", str(hist)]) == 0
-        assert json.loads(out.read_text())["decoded"] is not None
-    assert calls == (["build_circuit", "run"] * 2 if simulated else [])
+        with pytest.raises(SimulatorReached):
+            main(["grover", "--map", path, "--max-qubits", "46", *extra])
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
