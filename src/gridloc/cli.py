@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -39,11 +41,27 @@ def _read_map(path: str) -> gridmap.GridMap:
 
 
 def _write_out(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or its UTF-8 bytes to the file at ``path``.
+
+    An existing file is written over in place and then cut to the new
+    length, which skips the free-and-refill of an ``O_TRUNC`` open. Only a
+    regular file is cut, so a pipe or terminal path (``/dev/stdout``) works.
+    Neither fsyncs nor replaces atomically.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # a write may take only part of what it is given
+            rest = rest[os.write(fd, rest) :]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _json_text(obj) -> str:

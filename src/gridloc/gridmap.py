@@ -20,6 +20,7 @@ Cell = tuple[int, int]
 FREE_CHAR = "."
 OBSTACLE_CHAR = "#"
 ROBOT_CHAR = "R"
+CELL_CHARS = FREE_CHAR + OBSTACLE_CHAR + ROBOT_CHAR
 
 # Codes are scaled in float64, which holds every integer up to 2**53 exactly.
 MAX_QUBITS_PER_CELL = 53
@@ -180,20 +181,28 @@ def parse_map(text: str) -> GridMap:
     if len(body) != rows:
         raise MapFormatError(f"expected {rows} grid lines, got {len(body)}")
 
-    obstacles: set[Cell] = set()
+    # Each line is checked with C-level string calls: lstrip drops every
+    # valid cell character up to the first unknown one, and find steps from
+    # one robot or obstacle to the next. Errors keep row-major order.
+    obstacles: list[Cell] = []
     robot: Cell | None = None
     for r, line in enumerate(body):
         if len(line) != cols or line != line.rstrip():
             raise MapFormatError(f"line {r + 2}: expected exactly {cols} cell characters")
-        for c, ch in enumerate(line):
-            if ch == OBSTACLE_CHAR:
-                obstacles.add((r, c))
-            elif ch == ROBOT_CHAR:
-                if robot is not None:
-                    raise DuplicateRobotError(f"second robot at {(r, c)}, first at {robot}")
-                robot = (r, c)
-            elif ch != FREE_CHAR:
-                raise MapFormatError(f"line {r + 2}: unknown cell character {ch!r}")
+        unknown = line.lstrip(CELL_CHARS)
+        end = cols - len(unknown)
+        c = line.find(ROBOT_CHAR, 0, end)
+        while c >= 0:
+            if robot is not None:
+                raise DuplicateRobotError(f"second robot at {(r, c)}, first at {robot}")
+            robot = (r, c)
+            c = line.find(ROBOT_CHAR, c + 1, end)
+        if unknown:
+            raise MapFormatError(f"line {r + 2}: unknown cell character {unknown[0]!r}")
+        c = line.find(OBSTACLE_CHAR)
+        while c >= 0:
+            obstacles.append((r, c))
+            c = line.find(OBSTACLE_CHAR, c + 1)
 
     return GridMap(
         rows=rows,

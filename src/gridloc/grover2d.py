@@ -509,8 +509,8 @@ def _modal_anchor(hist: statevec.Histogram, n_anchors: int) -> int | None:
     """The most frequent outcome below n_anchors as an index, ties to the lowest."""
     # Equal-width bitstrings sort like their values: compare keys, parse one.
     top = format(n_anchors - 1, f"0{hist.bits}b")
-    valid = {key: count for key, count in hist.counts.items() if key <= top}
-    return int(min(valid, key=lambda k: (-valid[k], k)), 2) if valid else None
+    best = min(((-count, key) for key, count in hist.counts.items() if key <= top), default=None)
+    return None if best is None else int(best[1], 2)
 
 
 @dataclass(frozen=True)

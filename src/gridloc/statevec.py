@@ -376,6 +376,13 @@ def sample(
     Readout noise flips each reported bit independently with p_meas. Shots
     are drawn sequentially from one seeded stream; identical inputs and
     seed give identical histograms regardless of host parallelism.
+
+    The shots are ``Generator.choice(2**k, size=shots, p=probs)`` spelled
+    out: the same cumulative sum normalized by its last entry, the same
+    ``random(shots)`` draws, each looked up with ``side="right"``. So the
+    outcomes and the generator state after them are choice's own. Without
+    readout noise only the counts matter, and they come from the sorted
+    draws; readout flips need each shot's outcome, in draw order.
     """
     measured = sorted(set(int(q) for q in measured_qubits), reverse=True)
     if not measured:
@@ -388,18 +395,32 @@ def sample(
     k = len(measured)
     probs = _marginal(state, measured)
     probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"outcome probabilities sum to {total}, there is nothing to sample")
+    probs /= total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
+    bit_pos = np.arange(k - 1, -1, -1)
     rng = np.random.default_rng(seed)
-    outcomes = rng.choice(1 << k, size=shots, p=probs)
+    draws = rng.random(shots)
     if noise is not None and noise.p_meas > 0.0:
-        bit_pos = np.arange(k - 1, -1, -1)
+        outcomes = cdf.searchsorted(draws, side="right")
         bits = (outcomes[:, None] >> bit_pos) & 1
         flips = rng.random((shots, k)) < noise.p_meas
         bits ^= flips
         outcomes = (bits << bit_pos).sum(axis=1)
+    else:
+        draws.sort()
+        outcomes = cdf.searchsorted(draws, side="right")
+    freq = np.bincount(outcomes)
+    values = np.flatnonzero(freq)
 
-    values, freq = np.unique(outcomes, return_counts=True)
-    key = f"0{k}b"
-    counts = {format(v, key): n for v, n in zip(values.tolist(), freq.tolist())}
+    # Every key in one pass: a row of '0'/'1' bytes per outcome, each row
+    # ended by a newline, decoded and split once.
+    text = np.full((len(values), k + 1), ord("\n"), dtype=np.uint8)
+    text[:, :k] = ((values[:, None] >> bit_pos) & 1) + ord("0")
+    keys = text.tobytes().decode("ascii").split()
+    counts = dict(zip(keys, freq[values].tolist()))
     return Histogram(counts=counts, shots=shots, bits=k)

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -112,6 +114,58 @@ def test_grover_byte_determinism(bench_map, tmp_path):
     main(["grover", "--map", bench_map, "--seed", "5", "--out", str(a)])
     main(["grover", "--map", bench_map, "--seed", "5", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_outputs_over_a_longer_file_leave_exactly_the_new_bytes(bench_map, tmp_path, capsys):
+    # --out and --hist write over an existing file in place, then cut it.
+    argv = ["grover", "--map", bench_map, "--seed", "4", "--noise", "0,0.05"]
+    fresh_hist = tmp_path / "fresh.csv"
+    assert main([*argv, "--hist", str(fresh_hist)]) == 0
+    report = capsys.readouterr().out.encode()
+    out, hist = tmp_path / "rep.json", tmp_path / "hist.csv"
+    for path in (out, hist):
+        path.write_bytes(b"\xff" * 100_000)
+    assert main([*argv, "--out", str(out), "--hist", str(hist)]) == 0
+    assert out.read_bytes() == report
+    assert hist.read_bytes() == fresh_hist.read_bytes()
+    # A shorter file grows to the report.
+    out.write_bytes(b"{")
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == report
+
+
+def test_outputs_keep_the_existing_file_mode(bench_map, tmp_path):
+    out, hist = tmp_path / "rep.json", tmp_path / "hist.csv"
+    for path, mode in ((out, 0o640), (hist, 0o604)):
+        path.write_text("x" * 10_000)
+        path.chmod(mode)
+    assert main(["grover", "--map", bench_map, "--out", str(out), "--hist", str(hist)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert stat.S_IMODE(hist.stat().st_mode) == 0o604
+
+
+def test_out_to_a_pipe_writes_the_full_report(tmp_path, capsys):
+    # A pipe cannot be cut or sought. The costmap of a 120x120 map fills the
+    # pipe's buffer several times over while a reader drains it.
+    path = tmp_path / "wide.map"
+    path.write_text("rows=120 cols=120 q=2 range=1\n" + ("#" + "." * 119 + "\n") * 120)
+    argv = ["costmap", "--map", str(path)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1 << 17
+    read_fd, write_fd = os.pipe()
+    received = []
+    with os.fdopen(read_fd, "rb") as pipe_out:
+        reader = threading.Thread(target=lambda: received.append(pipe_out.read()))
+        reader.start()
+        try:
+            code = main([*argv, "--out", f"/dev/fd/{write_fd}"])
+        finally:
+            os.close(write_fd)
+            reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 0
+    assert received == [expected]
 
 
 def test_grover_noise_flag_variants(bench_map, tmp_path):

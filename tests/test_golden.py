@@ -17,13 +17,24 @@ from pathlib import Path
 
 import pytest
 
-from gridloc import parse_map
+from gridloc import WidthTooLargeError, parse_map, run_localization
 from gridloc.cli import main
 
 HERE = Path(__file__).resolve().parent
 MAPS = HERE.parent / "maps"
 GOLDEN = HERE / "golden.json"
 EXTRA_OUTPUTS = ("hist", "trace")
+# Readout-only and gate-plus-readout rates: they pin the shot-by-shot sampling path.
+READOUT_NOISE = ("0,0.05", "0.01,0.02")
+
+
+def fits(where: str, mode: str) -> bool:
+    """Whether the map's layout in this mode passes the default width guard."""
+    try:
+        run_localization(parse_map(Path(where).read_text()), mode=mode, shots=1)
+    except WidthTooLargeError:
+        return False
+    return True
 
 
 def cases() -> dict[str, list[str]]:
@@ -38,6 +49,12 @@ def cases() -> dict[str, list[str]]:
             out[f"grover {mode} {name}"] = [
                 "grover", "--map", where, "--mode", mode, "--seed", "3", "--hist", "{hist}",
             ]
+            if fits(where, mode):
+                for rates in READOUT_NOISE:
+                    out[f"grover {mode} noise {rates} {name}"] = [
+                        "grover", "--map", where, "--mode", mode, "--seed", "3",
+                        "--noise", rates, "--hist", "{hist}",
+                    ]
         out[f"mcl {name}"] = [
             "mcl", "--map", where, "--particles", "20", "--max-iters", "5", "--trace", "{trace}",
         ]

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from gridloc import (
@@ -142,6 +142,97 @@ def test_parse_rejects_unknown_char():
 def test_parse_rejects_two_robots():
     with pytest.raises(DuplicateRobotError):
         parse_map("rows=1 cols=3 q=1 range=1\nRR.\n")
+
+
+def reference_parse_map(text: str) -> GridMap:
+    """``parse_map`` as first written, checking the grid one character at a time."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MapFormatError("empty map text")
+    header = lines[0]
+    fields = header.split()
+    keys = ("rows", "cols", "q", "range")
+    if len(fields) != 4 or [f.split("=")[0] for f in fields] != list(keys):
+        raise MapFormatError(f"malformed header: {header!r}")
+    values = {}
+    for f in fields:
+        key, _, val = f.partition("=")
+        try:
+            values[key] = int(val)
+        except ValueError:
+            raise MapFormatError(f"non-integer {key} in header: {val!r}") from None
+    rows, cols = values["rows"], values["cols"]
+    body = lines[1:]
+    if len(body) != rows:
+        raise MapFormatError(f"expected {rows} grid lines, got {len(body)}")
+    obstacles = set()
+    robot = None
+    for r, line in enumerate(body):
+        if len(line) != cols or line != line.rstrip():
+            raise MapFormatError(f"line {r + 2}: expected exactly {cols} cell characters")
+        for c, ch in enumerate(line):
+            if ch == "#":
+                obstacles.add((r, c))
+            elif ch == "R":
+                if robot is not None:
+                    raise DuplicateRobotError(f"second robot at {(r, c)}, first at {robot}")
+                robot = (r, c)
+            elif ch != ".":
+                raise MapFormatError(f"line {r + 2}: unknown cell character {ch!r}")
+    return GridMap(
+        rows=rows,
+        cols=cols,
+        obstacles=frozenset(obstacles),
+        robot=robot,
+        qubits_per_cell=values["q"],
+        sensor_range=values["range"],
+    )
+
+
+# Characters an edit writes: a robot (often a second one), a valid cell, or a
+# line break, whitespace, unknown or non-ASCII character.
+EDIT_CHARS = st.one_of(st.just("R"), st.sampled_from(".#"), st.sampled_from("\n x\t\r\x0b\u00a0\u00e9"))
+
+
+@st.composite
+def map_texts(draw) -> str:
+    """A valid map text, or one with up to four single-character edits to its grid lines."""
+    header, _, body = to_text(draw(grids())).partition("\n")
+    chars = list(body)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(("replace", "replace", "replace", "insert", "delete")))
+        if edit == "delete" and i < len(chars):
+            del chars[i]
+        elif edit == "replace" and i < len(chars):
+            chars[i] = draw(EDIT_CHARS)
+        else:
+            chars.insert(i, draw(EDIT_CHARS))
+    return header + "\n" + "".join(chars)
+
+
+def parse_outcome(parse, text):
+    """The parsed map, or the type and message of the error raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=map_texts())
+@example(text="rows=1 cols=4 q=1 range=1\nRxR.\n")
+@example(text="rows=2 cols=3 q=1 range=1\nR..\n.Rx\n")
+@example(text="rows=2 cols=3 q=1 range=1\nR.x\nR..\n")
+@example(text="rows=2 cols=3 q=1 range=1\n.R.\n..\n")
+@example(text="rows=1 cols=3 q=1 range=1\n.. \n")
+@example(text="rows=1 cols=2 q=1 range=1\n#\u00e9\n")
+@example(text="rows=0 cols=-3 q=1 range=1\n")
+@example(text="rows=2 cols=0 q=1 range=1\n\n\n")
+def test_parse_matches_character_loop(text):
+    assert parse_outcome(parse_map, text) == parse_outcome(reference_parse_map, text)
 
 
 def test_grid_validation():

@@ -23,6 +23,7 @@ from gridloc.statevec import (
     x,
     z,
 )
+from gridloc.statevec import _marginal
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -399,6 +400,68 @@ def test_sample_determinism_and_errors():
         sample(s, (0,), shots=0)
     with pytest.raises(ValueError):
         sample(s, (5,), shots=10)
+
+
+def choice_sample(state, measured_qubits, shots, noise, seed) -> dict[str, int]:
+    """``sample`` as first written: Generator.choice, np.unique and one format() per outcome."""
+    measured = sorted(set(int(q) for q in measured_qubits), reverse=True)
+    k = len(measured)
+    probs = np.clip(_marginal(state, measured), 0.0, None)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(1 << k, size=shots, p=probs)
+    if noise is not None and noise.p_meas > 0.0:
+        bit_pos = np.arange(k - 1, -1, -1)
+        bits = (outcomes[:, None] >> bit_pos) & 1
+        bits ^= rng.random((shots, k)) < noise.p_meas
+        outcomes = (bits << bit_pos).sum(axis=1)
+    values, freq = np.unique(outcomes, return_counts=True)
+    key = f"0{k}b"
+    return {format(v, key): n for v, n in zip(values.tolist(), freq.tolist())}
+
+
+@st.composite
+def sampled_states(draw):
+    """Concentrated, spread or gate-built states, some bins zero, frame qubits in the last."""
+    kind = draw(st.sampled_from(("concentrated", "spread", "circuit")))
+    if kind == "circuit":
+        # Qubits no gate has superposed stay in the frame, measured or not.
+        circuit = draw(circuits())
+        return run(init_state(circuit.width), circuit)
+    width = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    amps[rng.random(1 << width) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0.0
+    if kind == "concentrated":
+        amps *= 1e-3
+    amps[rng.integers(1 << width)] = 1.0
+    return from_amplitudes(amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=sampled_states(),
+    shots=st.one_of(st.integers(1, 4096), st.sampled_from((1, 2, 4096))),
+    p_meas=st.sampled_from((0.0, 0.0, 0.05, 0.5, 1.0)),
+    seed=st.integers(0, 2**64),
+    data=st.data(),
+)
+def test_sample_matches_generator_choice(state, shots, p_meas, seed, data):
+    measured = data.draw(
+        st.lists(st.integers(0, state.width - 1), min_size=1, max_size=state.width, unique=True)
+    )
+    noise = NoiseModel(p_gate=0.0, p_meas=p_meas)
+    hist = sample(state, measured, shots, noise=noise, seed=seed)
+    assert hist.counts == choice_sample(state, measured, shots, noise, seed)
+    assert all(type(key) is str and type(n) is int for key, n in hist.counts.items())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("p_meas", [0.0, 0.1])
+def test_sample_rejects_a_state_with_no_finite_probability(bad, p_meas):
+    state = from_amplitudes(np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        sample(state, (0, 1), shots=8, noise=NoiseModel(p_meas=p_meas))
 
 
 def test_histogram_modal_and_csv():
