@@ -213,16 +213,20 @@ def cmd_scale(args) -> int:
             seed=args.seed + index,
             max_qubits=args.max_qubits,
         )
+        # budget() reads only the geometry, and one obstacle gives M = 1 in
+        # both modes, so the folded report carries the faithful budget.
         wide = grover2d.plan(grid, gridmap.SINGLE_CELL, mode="faithful")
-        cost = grover2d.budget(wide)
-        est = errmodel.estimate(cost, rates, measured_qubits=wide.search_qubits, per=args.per)
+        cost = report.budget
+        est = errmodel.estimate(
+            cost, rates, measured_qubits=report.plan.search_qubits, per=args.per
+        )
         obstacle = next(iter(grid.obstacles))
         known = report.plan.anchor_index(obstacle)
         simulated = (
             report.plan.anchor_index(report.decoded) if report.decoded is not None else -1
         )
         lines.append(
-            f"{rows}x{cols},{rows},{cols},{wide.total_qubits},{wide.repetitions},"
+            f"{rows}x{cols},{rows},{cols},{wide.total_qubits},{report.plan.repetitions},"
             f"{cost.elements},{cost.depth},{est.p_gate_failure:.6f},{simulated},{known}"
         )
     _write_out("\n".join(lines) + "\n", args.out)

@@ -122,11 +122,12 @@ class OracleSpec:
     """Everything an oracle synthesizer may look at.
 
     solutions carry the matching anchor indices for the folded form;
-    map_codes and the patterns feed the faithful register preparation.
+    map_codes (the costmap's frozen code array) and the patterns feed the
+    faithful register preparation.
     """
 
     solutions: tuple[int, ...]
-    map_codes: tuple[tuple[int, ...], ...]
+    map_codes: np.ndarray
     row_pattern: tuple[int, ...]
     col_pattern: tuple[int, ...]
 
@@ -242,7 +243,7 @@ def oracle_spec(the_plan: GroverPlan, costmap: Costmap, perception: Perception) 
         raise ValueError("plan and perception disagree on the anchor grid")
     return OracleSpec(
         solutions=tuple(np.flatnonzero(ok).tolist()),
-        map_codes=tuple(map(tuple, costmap.code.tolist())),
+        map_codes=costmap.code,
         row_pattern=perception.row_pattern,
         col_pattern=perception.col_pattern,
     )
@@ -361,7 +362,7 @@ def _prep_ops(the_plan: GroverPlan, spec: OracleSpec | None) -> list[GateOp]:
     if the_plan.mode == "faithful":
         if spec is not None:
             q = the_plan.qubits_per_cell
-            for r, row in enumerate(spec.map_codes):
+            for r, row in enumerate(spec.map_codes.tolist()):
                 for c, value in enumerate(row):
                     for b in range(q):
                         if (value >> b) & 1:

@@ -108,13 +108,14 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-def _zeros(size: int) -> np.ndarray:
-    """A zeroed complex amplitude array; a refused allocation is a width error."""
+def _zeros(size: int, dtype=np.complex128) -> np.ndarray:
+    """A zeroed array, complex amplitudes by default; a refused allocation is a width error."""
     try:
-        return np.zeros(size, dtype=np.complex128)
+        return np.zeros(size, dtype=dtype)
     except MemoryError as exc:
         raise WidthTooLargeError(
-            f"{size} amplitudes need {16 * size} bytes, more than this host can allocate"
+            f"{size} amplitudes need {np.dtype(dtype).itemsize * size} bytes,"
+            " more than this host can allocate"
         ) from exc
 
 
@@ -157,17 +158,23 @@ class StateVector:
     ``_order[j]`` names the qubit there (``_pos`` is the inverse, -1 for
     the rest). Every other qubit is in a basis state, and its bit is kept
     in the integer ``_frame``. A qubit becomes active when a gate first
-    puts it in superposition or entangles it, and stays active.
+    puts it in superposition or entangles it, and stays active. Only gates
+    and noise Paulis change a state.
 
-    ``amps`` is the dense view over all qubits in qubit order. Reading it
-    makes every qubit active in qubit order, in place, so writes through
-    it reach the state.
+    ``amps`` is a read-only dense copy over all qubits in qubit order;
+    reading it leaves the state as it was.
     """
 
-    __slots__ = ("width", "noise_events", "_active", "_order", "_pos", "_frame", "_dense")
+    __slots__ = ("width", "noise_events", "_active", "_order", "_pos", "_frame")
 
-    def _set(self, width, active, order, frame, noise_events) -> None:
-        """Bind every field of a state built with ``__new__`` (``init_state``, ``from_amplitudes``, ``copy``)."""
+    def __init__(
+        self,
+        width: int,
+        active: np.ndarray,
+        order: list[int],
+        frame: int = 0,
+        noise_events: int = 0,
+    ):
         self.width = width
         self.noise_events = noise_events
         self._active = active
@@ -176,34 +183,36 @@ class StateVector:
         for j, q in enumerate(order):
             self._pos[q] = j
         self._frame = frame
-        self._dense = order == list(range(width))
 
     @property
     def amps(self) -> np.ndarray:
-        if not self._dense:
-            self._densify()
-        return self._active
-
-    def copy(self) -> "StateVector":
-        out = StateVector.__new__(StateVector)
-        out._set(self.width, self._active.copy(), list(self._order), self._frame, self.noise_events)
+        out = self._layout(self._active, range(self.width - 1, -1, -1))
+        out.flags.writeable = False
         return out
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._active))
+    def copy(self) -> "StateVector":
+        return StateVector(
+            self.width, self._active.copy(), list(self._order), self._frame, self.noise_events
+        )
 
-    def _densify(self) -> None:
-        """Spread the active tensor over all qubits, axes in qubit order."""
-        width, k = self.width, len(self._order)
-        dense = _zeros(1 << width).reshape((2,) * width)
-        perm = [k - 1 - self._pos[q] for q in sorted(self._order, reverse=True)]
-        tensor = self._active.reshape((2,) * k).transpose(perm)
-        dense[self._pinned(range(width - 1, -1, -1))] = tensor
-        self._set(width, dense.reshape(-1), list(range(width)), 0, self.noise_events)
+    def _layout(self, values: np.ndarray, qubits) -> np.ndarray:
+        """``values`` over the active axes, laid out on ``qubits`` (most significant first).
 
-    def _pinned(self, qubits) -> tuple:
-        """Index over ``qubits``: a frame qubit pins its bit, an active one keeps its axis."""
-        return tuple(slice(None) if self._pos[q] >= 0 else (self._frame >> q) & 1 for q in qubits)
+        Active axes not in ``qubits`` are summed out. A listed frame qubit
+        pins its bit, so entries that disagree with it stay 0.
+        """
+        k, pos = len(self._order), self._pos
+        tensor = values.reshape((2,) * k)
+        keep_axes = [k - 1 - pos[q] for q in qubits if pos[q] >= 0]
+        drop_axes = tuple(a for a in range(k) if a not in keep_axes)
+        if drop_axes:
+            tensor = tensor.sum(axis=drop_axes)
+        # Summing leaves the kept axes in ascending order; put them in listed order.
+        kept = sorted(keep_axes)
+        tensor = tensor.transpose([kept.index(a) for a in keep_axes])
+        out = _zeros(1 << len(qubits), values.dtype).reshape((2,) * len(qubits))
+        out[tuple(slice(None) if pos[q] >= 0 else (self._frame >> q) & 1 for q in qubits)] = tensor
+        return out.reshape(-1)
 
     def _promote(self, qubit: int) -> int:
         """Make a frame qubit active as the most significant axis."""
@@ -215,13 +224,9 @@ class StateVector:
         self._frame &= ~(1 << qubit)
         self._pos[qubit] = len(self._order)
         self._order.append(qubit)
-        self._dense = self._order == list(range(self.width))
         return self._pos[qubit]
 
     def _apply(self, op: GateOp) -> None:
-        if self._dense:
-            _kernel(self._active, self.width, op.kind, op.target, op.controls)
-            return
         pos, frame = self._pos, self._frame
         controls = []
         for q, pol in op.controls:
@@ -268,9 +273,7 @@ def init_state(width: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         )
     active = _zeros(1)
     active[0] = 1.0
-    state = StateVector.__new__(StateVector)
-    state._set(width, active, [], 0, 0)
-    return state
+    return StateVector(width, active, [])
 
 
 def from_amplitudes(values) -> StateVector:
@@ -280,9 +283,7 @@ def from_amplitudes(values) -> StateVector:
         raise ValueError(f"{len(values)} amplitudes is not 2**width for a width >= 1")
     amps = _zeros(len(values))
     amps[:] = values
-    state = StateVector.__new__(StateVector)
-    state._set(width, amps, list(range(width)), 0, 0)
-    return state
+    return StateVector(width, amps, list(range(width)))
 
 
 def apply(state: StateVector, op: GateOp) -> StateVector:
@@ -351,17 +352,7 @@ def _marginal(state: StateVector, measured: list[int]) -> np.ndarray:
     Summed over the active tensor only; measured frame qubits contribute
     their fixed bit, so outcomes that disagree with it get probability 0.
     """
-    k, pos = len(state._order), state._pos
-    tensor = (np.abs(state._active) ** 2).reshape((2,) * k)
-    keep_axes = [k - 1 - pos[q] for q in measured if pos[q] >= 0]
-    drop_axes = tuple(a for a in range(k) if a not in keep_axes)
-    marginal = tensor.sum(axis=drop_axes) if drop_axes else tensor
-    # Summing leaves the kept axes in ascending order; put them in measured order.
-    kept = sorted(keep_axes)
-    marginal = marginal.transpose([kept.index(a) for a in keep_axes])
-    out = np.zeros((2,) * len(measured))
-    out[state._pinned(measured)] = marginal
-    return out.reshape(-1)
+    return state._layout(np.abs(state._active) ** 2, measured)
 
 
 def sample(

@@ -39,6 +39,7 @@ from gridloc.statevec import (
     NoiseModel,
     WidthTooLargeError,
     _marginal,
+    from_amplitudes,
     h,
     init_state,
     mcx,
@@ -322,9 +323,7 @@ def test_diffusion_matrix_is_reflection():
     dim = 4
     cols = []
     for k in range(dim):
-        s = init_state(2)
-        s.amps[0] = 0.0
-        s.amps[k] = 1.0
+        s = from_amplitudes(np.eye(dim)[k])
         cols.append(run(s, circ).amps)
     mat = np.array(cols).T
     uniform = np.full((dim, dim), 1.0 / dim)

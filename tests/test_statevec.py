@@ -33,9 +33,7 @@ def op_matrix(op: GateOp, width: int) -> np.ndarray:
     dim = 2**width
     cols = []
     for k in range(dim):
-        state = init_state(width)
-        state.amps[0] = 0.0
-        state.amps[k] = 1.0
+        state = from_amplitudes(np.eye(dim)[k])
         cols.append(apply(state, op).amps)
     return np.array(cols).T
 
@@ -215,6 +213,19 @@ def test_from_amplitudes_maps_memory_error(monkeypatch):
     assert isinstance(err.value.__cause__, MemoryError)
 
 
+def test_reading_amps_leaves_the_state_unchanged():
+    state = run(init_state(8), Circuit(width=8, ops=(x(5), h(0), mcx(((0, 1),), 3))))
+    order, frame, size = list(state._order), state._frame, state._active.size
+    amps = state.amps
+    assert amps.size == 2**8
+    assert state._order == order
+    assert state._frame == frame
+    assert state._active.size == size
+    with pytest.raises(ValueError):
+        amps[0] = 1.0
+    assert np.array_equal(state.amps, amps)
+
+
 def test_h_on_zero():
     s = apply(init_state(1), h(0))
     assert np.allclose(s.amps, [RSQRT2, RSQRT2])
@@ -224,8 +235,7 @@ def test_h_involution():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    s = init_state(3)
-    s.amps[:] = amps
+    s = from_amplitudes(amps)
     back = apply(apply(s, h(1)), h(1))
     assert np.allclose(back.amps, amps, atol=1e-12)
 
@@ -278,13 +288,10 @@ def test_apply_linearity():
         width = int(rng.integers(1, 4))
         op = random_op(rng, width)
         dim = 2**width
-        s1 = init_state(width)
-        s2 = init_state(width)
-        s1.amps[:] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        s2.amps[:] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        s1 = from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        s2 = from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         alpha, beta = 0.3 - 0.2j, 1.1 + 0.7j
-        mixed = init_state(width)
-        mixed.amps[:] = alpha * s1.amps + beta * s2.amps
+        mixed = from_amplitudes(alpha * s1.amps + beta * s2.amps)
         lhs = apply(mixed, op).amps
         rhs = alpha * apply(s1, op).amps + beta * apply(s2, op).amps
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -315,7 +322,7 @@ def test_run_norm_preserved():
         width = int(rng.integers(1, 6))
         ops = tuple(random_op(rng, width) for _ in range(25))
         out = run(init_state(width), Circuit(width=width, ops=ops))
-        assert abs(out.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
 
 
 def test_zero_noise_equals_noiseless():
@@ -494,12 +501,16 @@ def test_run_and_sample_match_dense_reference(circuit, p_gate, p_meas, seed, dat
     ref_amps, ref_events = reference_run(circuit, noise, seed)
     state = run(init_state(width), circuit, noise=noise, seed=seed)
     assert state.noise_events == ref_events
-    # Sample before reading amps: amps promotes every frame qubit.
+    hists = []
     for readout in (None, noise):
         hist = sample(state, measured, shots=64, noise=readout, seed=seed + 1)
         assert hist.counts == reference_sample(ref_amps, width, measured, 64, readout, seed + 1)
+        hists.append(hist)
     assert np.array_equal(state.amps, ref_amps)
-    assert abs(state.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-9
+    # Reading amps changes nothing, so sampling again gives the same histograms.
+    for readout, hist in zip((None, noise), hists):
+        assert sample(state, measured, shots=64, noise=readout, seed=seed + 1) == hist
 
 
 def test_frame_ops_keep_state_small():
