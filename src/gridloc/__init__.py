@@ -39,7 +39,6 @@ from .gridmap import (
     parse_map,
     perceive,
     perceive_at,
-    to_text,
 )
 from .grover2d import (
     Budget,
@@ -49,7 +48,6 @@ from .grover2d import (
     RegisterLayout,
     budget,
     build_circuit,
-    circuit_budget,
     classical_matches,
     ideal_success_probability,
     oracle_spec,
@@ -65,7 +63,6 @@ from .statevec import (
     NoiseModel,
     StateVector,
     WidthTooLargeError,
-    apply,
     init_state,
     run,
     sample,
@@ -96,10 +93,8 @@ __all__ = [
     "RegisterLayout",
     "StateVector",
     "WidthTooLargeError",
-    "apply",
     "budget",
     "build_circuit",
-    "circuit_budget",
     "classical_matches",
     "compute_costmap",
     "costmap_csv",
@@ -124,6 +119,5 @@ __all__ = [
     "substring_search",
     "synth_diffusion",
     "synth_oracle",
-    "to_text",
     "__version__",
 ]

@@ -192,10 +192,11 @@ def cmd_mcl(args) -> int:
 def cmd_scale(args) -> int:
     sizes = []
     for token in args.sizes.split(","):
-        parts = token.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"bad size {token!r}, expected RxC")
-        sizes.append((int(parts[0]), int(parts[1])))
+        try:
+            rows, cols = map(int, token.lower().split("x"))
+        except ValueError:  # not two parts, or a part that is no integer
+            raise ValueError(f"bad size {token!r}, expected RxC") from None
+        sizes.append((rows, cols))
 
     noise = _parse_noise(args.noise)
     rates = noise or errmodel.load_presets()[SCALE_DEFAULT_DEVICE]
@@ -272,63 +273,64 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# Every option a command can take.
+_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--shots": dict(type=int, default=4096, help="measurement shots (default 4096)"),
+    "--mode": dict(choices=("folded", "faithful"), default="folded", help="circuit mode"),
+    "--noise": dict(default=None, help="device preset name or explicit 'p_gate,p_meas'"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--max-qubits": dict(
+        type=int, default=statevec.DEFAULT_MAX_QUBITS, help="simulator width budget in qubits"
+    ),
+    "--per": dict(
+        choices=("depth", "ops"), default="depth", help="exponent for the element failure estimate"
+    ),
+    "--map": dict(required=True, help="map file path"),
+    "--hist": dict(default=None, help="also write the histogram CSV here"),
+    "--particles": dict(type=int, default=200, help="particle count (default 200)"),
+    "--max-iters": dict(type=int, default=50, help="iteration cap (default 50)"),
+    "--trace": dict(default=None, help="also write the particle trace CSV here"),
+    "--sizes": dict(default=SCALE_DEFAULT_SIZES, help="comma-separated RxC list"),
+}
+
+# name -> (handler, help, the options its cmd_* reads, in the order --help lists them)
+_COMMANDS = {
+    "costmap": (cmd_costmap, "dump the map's costmap CSV", "--out --map"),
+    "perceive": (cmd_perceive, "dump the robot's perception", "--out --map"),
+    "grover": (
+        cmd_grover,
+        "run amplified localization",
+        "--seed --shots --mode --noise --out --max-qubits --per --map --hist",
+    ),
+    "mcl": (
+        cmd_mcl,
+        "run the particle-filter baseline",
+        "--seed --out --map --particles --max-iters --trace",
+    ),
+    "scale": (
+        cmd_scale,
+        "sweep benchmark grid sizes",
+        "--seed --shots --noise --out --max-qubits --per --sizes",
+    ),
+    "compare": (
+        cmd_compare,
+        "amplified search vs particles",
+        "--seed --shots --mode --noise --out --max-qubits --map --particles --max-iters",
+    ),
+}
+
+
 # Built once per process: parse_args never changes it, and a build costs about 1 ms.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--shots", type=int, default=4096, help="measurement shots (default 4096)")
-    common.add_argument(
-        "--mode", choices=("folded", "faithful"), default="folded", help="circuit mode"
-    )
-    common.add_argument(
-        "--noise", default=None, help="device preset name or explicit 'p_gate,p_meas'"
-    )
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--max-qubits",
-        type=int,
-        default=statevec.DEFAULT_MAX_QUBITS,
-        help="simulator width budget in qubits",
-    )
-    common.add_argument(
-        "--per",
-        choices=("depth", "ops"),
-        default="depth",
-        help="exponent for the element failure estimate",
-    )
-
-    need_map = argparse.ArgumentParser(add_help=False)
-    need_map.add_argument("--map", required=True, help="map file path")
-
-    p = sub.add_parser("costmap", parents=[common, need_map], help="dump the map's costmap CSV")
-    p.set_defaults(func=cmd_costmap)
-
-    p = sub.add_parser("perceive", parents=[common, need_map], help="dump the robot's perception")
-    p.set_defaults(func=cmd_perceive)
-
-    p = sub.add_parser("grover", parents=[common, need_map], help="run amplified localization")
-    p.add_argument("--hist", default=None, help="also write the histogram CSV here")
-    p.set_defaults(func=cmd_grover)
-
-    p = sub.add_parser("mcl", parents=[common, need_map], help="run the particle-filter baseline")
-    p.add_argument("--particles", type=int, default=200, help="particle count (default 200)")
-    p.add_argument("--max-iters", type=int, default=50, help="iteration cap (default 50)")
-    p.add_argument("--trace", default=None, help="also write the particle trace CSV here")
-    p.set_defaults(func=cmd_mcl)
-
-    p = sub.add_parser("scale", parents=[common], help="sweep benchmark grid sizes")
-    p.add_argument("--sizes", default=SCALE_DEFAULT_SIZES, help="comma-separated RxC list")
-    p.set_defaults(func=cmd_scale)
-
-    p = sub.add_parser("compare", parents=[common, need_map], help="amplified search vs particles")
-    p.add_argument("--particles", type=int, default=200, help="particle count (default 200)")
-    p.add_argument("--max-iters", type=int, default=50, help="iteration cap (default 50)")
-    p.set_defaults(func=cmd_compare)
-
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -336,12 +338,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.max_qubits <= MAX_QUBITS_CEILING:
+        if "max_qubits" in args and not 1 <= args.max_qubits <= MAX_QUBITS_CEILING:
             raise ValueError(
                 f"--max-qubits must be between 1 and {MAX_QUBITS_CEILING}, "
                 f"got {args.max_qubits}"
             )
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except statevec.WidthTooLargeError as exc:

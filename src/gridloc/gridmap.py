@@ -214,22 +214,6 @@ def parse_map(text: str) -> GridMap:
     )
 
 
-def to_text(grid: GridMap) -> str:
-    """Render a map back to the file format (LF line endings)."""
-    lines = [f"rows={grid.rows} cols={grid.cols} q={grid.qubits_per_cell} range={grid.sensor_range}"]
-    for r in range(grid.rows):
-        chars = []
-        for c in range(grid.cols):
-            if (r, c) in grid.obstacles:
-                chars.append(OBSTACLE_CHAR)
-            elif grid.robot == (r, c):
-                chars.append(ROBOT_CHAR)
-            else:
-                chars.append(FREE_CHAR)
-        lines.append("".join(chars))
-    return "\n".join(lines) + "\n"
-
-
 def _field(mask: np.ndarray, initial: float) -> np.ndarray:
     """Summed obstacle influence of an obstacle mask.
 

@@ -356,27 +356,26 @@ def synth_diffusion(the_plan: GroverPlan) -> Circuit:
     return Circuit(width=the_plan.total_qubits, ops=tuple(ops))
 
 
-def _prep_ops(the_plan: GroverPlan, spec: OracleSpec | None) -> list[GateOp]:
+def _prep_ops(the_plan: GroverPlan, spec: OracleSpec) -> list[GateOp]:
     """Uniform search register, plus faithful-mode register loading."""
     ops = [h(q) for q in range(the_plan.search_qubits)]
     if the_plan.mode == "faithful":
-        if spec is not None:
-            q = the_plan.qubits_per_cell
-            for r, row in enumerate(spec.map_codes.tolist()):
-                for c, value in enumerate(row):
-                    for b in range(q):
-                        if (value >> b) & 1:
-                            ops.append(x(_cell_qubit(the_plan, (r, c), b)))
-            row_start, _ = the_plan.layout.row_pattern
-            col_start, _ = the_plan.layout.col_pattern
-            for j, value in enumerate(spec.row_pattern):
+        q = the_plan.qubits_per_cell
+        for r, row in enumerate(spec.map_codes.tolist()):
+            for c, value in enumerate(row):
                 for b in range(q):
                     if (value >> b) & 1:
-                        ops.append(x(row_start + j * q + b))
-            for i, value in enumerate(spec.col_pattern):
-                for b in range(q):
-                    if (value >> b) & 1:
-                        ops.append(x(col_start + i * q + b))
+                        ops.append(x(_cell_qubit(the_plan, (r, c), b)))
+        row_start, _ = the_plan.layout.row_pattern
+        col_start, _ = the_plan.layout.col_pattern
+        for j, value in enumerate(spec.row_pattern):
+            for b in range(q):
+                if (value >> b) & 1:
+                    ops.append(x(row_start + j * q + b))
+        for i, value in enumerate(spec.col_pattern):
+            for b in range(q):
+                if (value >> b) & 1:
+                    ops.append(x(col_start + i * q + b))
         output = the_plan.layout.output[0]
         ops.append(x(output))
         ops.append(h(output))
@@ -391,23 +390,6 @@ def build_circuit(the_plan: GroverPlan, spec: OracleSpec) -> Circuit:
     # joined without checking each op again.
     object.__setattr__(circuit, "ops", circuit.ops + body * the_plan.repetitions)
     return circuit
-
-
-def circuit_budget(circuit: Circuit) -> Budget:
-    """Meter a circuit: c-control gates expand to 2c-1 serial elements."""
-    busy = [0] * circuit.width
-    elements = 0
-    depth = 0
-    for op in circuit.ops:
-        weight = 2 * len(op.controls) - 1 if op.controls else 1
-        elements += weight
-        qubits = op.qubits()
-        start = max(busy[q] for q in qubits)
-        end = start + weight
-        for q in qubits:
-            busy[q] = end
-        depth = max(depth, end)
-    return Budget(elements=elements, depth=depth)
 
 
 def _moves_depth(moves: list[tuple[int | None, int]]) -> int:
@@ -425,8 +407,9 @@ def budget(the_plan: GroverPlan) -> Budget:
     Accounts the faithful circuit structure for the plan's geometry
     whatever the execution mode, leaving out the value-dependent register
     loading, so maps of equal shape cost the same however many obstacles
-    they hold. Counted in closed form, with no gate built, it equals
-    circuit_budget over the whole faithful run.
+    they hold. Counted in closed form, with no gate built, it equals the
+    reference meter `reference_budget` in tests/test_grover2d.py, which
+    layers every op of the whole faithful run.
 
     With s search qubits and P comparator pairs, each anchor writes 2P
     moves and a wide MCX of weight W = 2(s + P) - 1, and each repetition

@@ -286,16 +286,6 @@ def from_amplitudes(values) -> StateVector:
     return StateVector(width, amps, list(range(width)))
 
 
-def apply(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate, returning a new state. The input is untouched."""
-    for q in op.qubits():
-        if not 0 <= q < state.width:
-            raise ValueError(f"gate qubit {q} out of range for width {state.width}")
-    out = state.copy()
-    out._apply(op)
-    return out
-
-
 def run(
     state: StateVector,
     circuit: Circuit,

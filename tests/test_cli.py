@@ -265,7 +265,7 @@ def _patch_out(monkeypatch, targets):
 
 def _assert_runs_build_no_circuit(monkeypatch, tmp_path, paths, extra):
     # No gate is built at all: the budget is counted in closed form too.
-    gates = ("build_circuit", "circuit_budget", "Circuit", "h", "x", "z", "mcx", "mcz")
+    gates = ("build_circuit", "Circuit", "h", "x", "z", "mcx", "mcz")
     _patch_out(monkeypatch, [(statevec, "run")] + [(grover2d, name) for name in gates])
     for path in paths:
         out = tmp_path / "g.json"
@@ -418,6 +418,46 @@ def test_scale_width_guard_runs_before_the_map_is_read(monkeypatch):
 
 def test_scale_bad_size_token(tmp_path):
     assert main(["scale", "--sizes", "3by3"]) == 2
+
+
+@pytest.mark.parametrize("token", ["3by3", "2x", "2xa", "x3", "2x3x4"])
+def test_scale_malformed_size_names_the_token(token, capsys):
+    assert main(["scale", "--sizes", f"2x2,{token}"]) == 2
+    assert capsys.readouterr().err == f"error: bad size '{token}', expected RxC\n"
+
+
+# Each option some command does not read, with a value its readers accept.
+DROPPED_OPTIONS = [
+    *[
+        (command, option, value)
+        for command in ("costmap", "perceive")
+        for option, value in (
+            ("--seed", "1"), ("--shots", "16"), ("--mode", "faithful"), ("--noise", "bogus"),
+            ("--max-qubits", "20"), ("--per", "ops"),
+        )
+    ],
+    ("mcl", "--shots", "0"),
+    ("mcl", "--mode", "faithful"),
+    ("mcl", "--noise", "bogus"),
+    ("mcl", "--max-qubits", "20"),
+    ("mcl", "--per", "ops"),
+    ("scale", "--mode", "faithful"),
+    ("compare", "--per", "ops"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", DROPPED_OPTIONS)
+def test_command_refuses_options_it_does_not_read(robot_map, command, option, value, capsys):
+    argv = [command] if command == "scale" else [command, "--map", robot_map]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    for name in gridloc.__all__:
+        assert hasattr(gridloc, name), name
 
 
 def test_compare_command(robot_map, tmp_path):

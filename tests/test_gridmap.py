@@ -21,9 +21,30 @@ from gridloc import (
     parse_map,
     perceive,
     perceive_at,
-    to_text,
 )
-from gridloc.gridmap import _normalize, perception_codes
+from gridloc.gridmap import (
+    FREE_CHAR,
+    OBSTACLE_CHAR,
+    ROBOT_CHAR,
+    _normalize,
+    perception_codes,
+)
+
+
+def to_text(grid: GridMap) -> str:
+    """Render a map back to the file format (LF line endings)."""
+    lines = [f"rows={grid.rows} cols={grid.cols} q={grid.qubits_per_cell} range={grid.sensor_range}"]
+    for r in range(grid.rows):
+        chars = []
+        for c in range(grid.cols):
+            if (r, c) in grid.obstacles:
+                chars.append(OBSTACLE_CHAR)
+            elif grid.robot == (r, c):
+                chars.append(ROBOT_CHAR)
+            else:
+                chars.append(FREE_CHAR)
+        lines.append("".join(chars))
+    return "\n".join(lines) + "\n"
 
 
 def reference_influence(rows: int, cols: int, obstacles, initial: float) -> np.ndarray:

@@ -12,7 +12,6 @@ from gridloc.statevec import (
     Histogram,
     NoiseModel,
     WidthTooLargeError,
-    apply,
     from_amplitudes,
     h,
     init_state,
@@ -34,7 +33,7 @@ def op_matrix(op: GateOp, width: int) -> np.ndarray:
     cols = []
     for k in range(dim):
         state = from_amplitudes(np.eye(dim)[k])
-        cols.append(apply(state, op).amps)
+        cols.append(run(state, Circuit(width=width, ops=(op,))).amps)
     return np.array(cols).T
 
 
@@ -227,7 +226,7 @@ def test_reading_amps_leaves_the_state_unchanged():
 
 
 def test_h_on_zero():
-    s = apply(init_state(1), h(0))
+    s = run(init_state(1), Circuit(width=1, ops=(h(0),)))
     assert np.allclose(s.amps, [RSQRT2, RSQRT2])
 
 
@@ -236,17 +235,18 @@ def test_h_involution():
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
     s = from_amplitudes(amps)
-    back = apply(apply(s, h(1)), h(1))
+    h1 = Circuit(width=3, ops=(h(1),))
+    back = run(run(s, h1), h1)
     assert np.allclose(back.amps, amps, atol=1e-12)
 
 
 def test_x_and_z_semantics():
     s = init_state(2)
-    s = apply(s, x(0))
+    s = run(s, Circuit(width=2, ops=(x(0),)))
     assert s.amps[1] == 1.0
-    s = apply(s, z(0))
+    s = run(s, Circuit(width=2, ops=(z(0),)))
     assert s.amps[1] == -1.0
-    s = apply(s, z(1))  # qubit 1 is 0 here, no sign change
+    s = run(s, Circuit(width=2, ops=(z(1),)))  # qubit 1 is 0 here, no sign change
     assert s.amps[1] == -1.0
 
 
@@ -292,14 +292,15 @@ def test_apply_linearity():
         s2 = from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         alpha, beta = 0.3 - 0.2j, 1.1 + 0.7j
         mixed = from_amplitudes(alpha * s1.amps + beta * s2.amps)
-        lhs = apply(mixed, op).amps
-        rhs = alpha * apply(s1, op).amps + beta * apply(s2, op).amps
+        circuit = Circuit(width=width, ops=(op,))
+        lhs = run(mixed, circuit).amps
+        rhs = alpha * run(s1, circuit).amps + beta * run(s2, circuit).amps
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_apply_out_of_range():
     with pytest.raises(ValueError):
-        apply(init_state(2), h(2))
+        run(init_state(2), Circuit(width=2, ops=(h(2),)))
 
 
 # ---------------------------------------------------------------- circuits
@@ -365,7 +366,7 @@ def test_noise_determinism():
 
 def test_sample_pure_state():
     s = init_state(2)
-    s = apply(s, x(0))  # |01> : qubit0=1, qubit1=0
+    s = run(s, Circuit(width=2, ops=(x(0),)))  # |01> : qubit0=1, qubit1=0
     hist = sample(s, (0, 1), shots=100)
     assert hist.counts == {"01": 100}
     assert hist.shots == 100
@@ -373,8 +374,8 @@ def test_sample_pure_state():
 
 def test_sample_uniform_3sigma():
     s = init_state(2)
-    s = apply(s, h(0))
-    s = apply(s, h(1))
+    s = run(s, Circuit(width=2, ops=(h(0),)))
+    s = run(s, Circuit(width=2, ops=(h(1),)))
     hist = sample(s, (0, 1), shots=40000, seed=3)
     for key in ("00", "01", "10", "11"):
         assert abs(hist.counts[key] - 10000) <= 300
@@ -383,8 +384,8 @@ def test_sample_uniform_3sigma():
 def test_sample_marginal():
     # Measure only qubit 1 of |+>|1): qubit1 is 1 always.
     s = init_state(2)
-    s = apply(s, h(0))
-    s = apply(s, x(1))
+    s = run(s, Circuit(width=2, ops=(h(0),)))
+    s = run(s, Circuit(width=2, ops=(x(1),)))
     hist = sample(s, (1,), shots=50)
     assert hist.counts == {"1": 50}
 
@@ -397,7 +398,7 @@ def test_sample_readout_flip_rate():
 
 
 def test_sample_determinism_and_errors():
-    s = apply(init_state(2), h(0))
+    s = run(init_state(2), Circuit(width=2, ops=(h(0),)))
     a = sample(s, (0, 1), shots=500, seed=9)
     b = sample(s, (0, 1), shots=500, seed=9)
     assert a.counts == b.counts
